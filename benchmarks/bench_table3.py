@@ -4,7 +4,7 @@ modes x 10 rounds) is `python jobs/table3_sota.py`."""
 import numpy as np
 import pytest
 
-from repro.bench.table3 import FRAMEWORKS, _build
+from repro.bench.table3 import FRAMEWORKS, STORES
 from repro.graphs.updates import make_update_plan
 from repro.synth_data import graph_edges
 from repro.walk import deepwalk
@@ -26,14 +26,11 @@ def test_round_update_plus_walk(benchmark, plan, framework):
     batches = iter(plan.batches)
 
     def setup():
-        store = _build(framework, plan.initial)
+        store = STORES[framework](plan.initial)
         return (store, next(batches)), {}
 
     def one_round(store, batch):
-        if framework == "bingo":
-            store.apply_batch(batch)
-        else:
-            store.apply_round(batch)
+        store.apply_batch(batch)
         deepwalk(store, np.random.default_rng(6), walkers=64, length=20)
 
     benchmark.pedantic(one_round, setup=setup, rounds=5, iterations=1)

@@ -7,10 +7,14 @@ engines absorb the updates into their adjacency and then rebuild their
 sampling structures from scratch ("we reload or reconstruct the
 corresponding structure after each round of updates").
 
-Lite-scale knobs (see DESIGN.md substitutions): BATCHSIZE defaults to
-|E|/100 so the update:edge ratio stays near the paper's mid-size graphs,
-and walkers are capped (the paper launches |V| walkers of length 80 on
-an A100; we keep length 80 and subsample starts).
+Every framework is driven through the same surface: ``STORES[fw](edges)``
+builds it, ``apply_batch`` ingests a round, ``memory_bytes`` reports it.
+
+Lite-scale knobs (see DESIGN.md substitutions): ``jobs/table3_sota.py``
+and DESIGN use BATCHSIZE = 1000 events (``run_cell`` falls back to
+max(100, |E|/100) when none is given), and walkers are capped (the paper
+launches |V| walkers of length 80 on an A100; we keep length 80 and
+subsample starts).
 """
 from __future__ import annotations
 
@@ -23,16 +27,11 @@ from ..synth_data import graph_edges
 from ..walk import APPS
 from .harness import Timer, mb
 
-FRAMEWORKS = ["bingo", "knightking", "gsampler", "flowwalker"]
+STORES = {"bingo": BingoStore, **SOTA_STORES}
+FRAMEWORKS = list(STORES)
 DEFAULT_GRAPHS = ["AM", "GO", "CT", "LJ", "TW"]
 DEFAULT_APPS = ["deepwalk", "node2vec", "ppr"]
 DEFAULT_MODES = ["insertion", "deletion", "mixed"]
-
-
-def _build(framework: str, edges):
-    if framework == "bingo":
-        return BingoStore(edges)
-    return SOTA_STORES[framework](edges)
 
 
 def run_cell(
@@ -55,17 +54,14 @@ def run_cell(
     plan = make_update_plan(
         edges, batch_size=batch_size, n_batches=rounds, mode=mode, seed=seed
     )
-    store = _build(framework, plan.initial)  # initial build is not timed (§6.1)
+    store = STORES[framework](plan.initial)  # initial build is not timed (§6.1)
     app_fn = APPS[app]
     rng = np.random.default_rng(seed + 1)
     t_update = 0.0
     t_walk = 0.0
     for batch in plan.batches:
         with Timer() as t:
-            if framework == "bingo":
-                store.apply_batch(batch)
-            else:
-                store.apply_round(batch)
+            store.apply_batch(batch)
         t_update += t.seconds
         kwargs = {"walkers": walkers}
         if app != "ppr":  # PPR's length is governed by its stop probability
@@ -73,9 +69,6 @@ def run_cell(
         with Timer() as t:
             app_fn(store, rng, **kwargs)
         t_walk += t.seconds
-    g_bytes, s_bytes = store.memory_bytes() if framework == "bingo" else (
-        store.adj.nbytes, store.structure_nbytes()
-    )
     return {
         "graph": graph,
         "app": app,
@@ -84,7 +77,7 @@ def run_cell(
         "runtime_s": t_update + t_walk,
         "update_s": t_update,
         "walk_s": t_walk,
-        "memory_mb": mb(g_bytes + s_bytes),
+        "memory_mb": mb(sum(store.memory_bytes())),
         "batch_size": batch_size,
         "rounds": rounds,
         "walkers": walkers,

@@ -358,11 +358,6 @@ class BingoVertex:
         self._delete_edge(dst)
         self._finalize_update()
 
-    def update_bias(self, dst: int, bias) -> None:
-        """Edge-bias update, composed of delete + insert as §4.2 allows."""
-        self.delete(dst)
-        self.insert(dst, bias)
-
     # -- memory accounting (§4.4, Fig. 11, Table 3) --------------------------
 
     @property

@@ -15,26 +15,12 @@ def num_bits(max_bias: int) -> int:
     return max(1, int(max_bias).bit_length())
 
 
-def decompose(w: int) -> list[int]:
-    """D(w): the set of powers of two present in ``w`` (Eq. 3)."""
-    if w < 0:
-        raise ValueError("bias must be non-negative")
-    return [1 << k for k in range(int(w).bit_length()) if w & (1 << k)]
-
-
 def bit_positions(w: int) -> list[int]:
-    """Bit positions k with ``w & 2^k != 0`` — the groups edge ``w`` joins."""
+    """Bit positions k with ``w & 2^k != 0`` — the groups edge ``w`` joins.
+
+    ``D(w) = {2^k : k in bit_positions(w)}`` (Eq. 3), and its size is
+    t = popc(w), the per-edge group count of the §4.4 memory analysis."""
     return [k for k in range(int(w).bit_length()) if w & (1 << k)]
-
-
-def popcount(arr) -> np.ndarray:
-    """Per-element number of set bits t = popc(w) (memory analysis §4.4)."""
-    a = np.asarray(arr, dtype=np.uint64)
-    out = np.zeros(a.shape, dtype=np.int64)
-    while a.any():
-        out += (a & np.uint64(1)).astype(np.int64)
-        a >>= np.uint64(1)
-    return out
 
 
 def group_weights(biases, K: int | None = None) -> np.ndarray:

@@ -13,6 +13,9 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
+# A module import: ``graphs.dynamic_graph`` imports ``core.dynarray``,
+# so a from-import here would cycle through this package's __init__.
+from ..graphs import dynamic_graph
 from ..graphs.updates import OP_DELETE, OP_INSERT
 from .batched import apply_vertex_batch
 from .bingo_vertex import BingoVertex
@@ -71,31 +74,13 @@ class BingoStore:
         *,
         adaptive: bool = True,
         float_bias: bool = False,
-        alpha: float = 40.0,
-        beta: float = 10.0,
     ) -> None:
         self.adaptive = adaptive
         self.float_bias = float_bias
-        self.alpha = alpha
-        self.beta = beta
-        self._v: dict[int, BingoVertex] = {}
-        src = edges["src"].to_numpy()
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = edges["dst"].to_numpy()[order]
-        bias = edges["bias"].to_numpy()[order]
-        uniq, starts = np.unique(src, return_index=True)
-        bounds = np.append(starts, len(src))
-        for i, u in enumerate(uniq):
-            lo, hi = bounds[i], bounds[i + 1]
-            self._v[int(u)] = BingoVertex(
-                dst[lo:hi],
-                bias[lo:hi],
-                adaptive=adaptive,
-                float_bias=float_bias,
-                alpha=alpha,
-                beta=beta,
-            )
+        self._v: dict[int, BingoVertex] = {
+            u: BingoVertex(dsts, biases, adaptive=adaptive, float_bias=float_bias)
+            for u, dsts, biases in dynamic_graph.split_by_src(edges)
+        }
 
     # -- queries -------------------------------------------------------------
 
@@ -119,27 +104,15 @@ class BingoStore:
     def num_edges(self) -> int:
         return sum(v.degree for v in self._v.values())
 
-    def edges(self) -> pd.DataFrame:
-        """Materialize the current edge list (oracle-side ground truth)."""
-        rows = []
+    def items(self):
+        """Yield (vertex, dst view, raw-bias view) for non-empty vertices."""
         for u, v in self._v.items():
             if v.degree:
-                rows.append(
-                    pd.DataFrame(
-                        {
-                            "src": np.full(v.degree, u, dtype=np.int64),
-                            "dst": v.neighbors_view().copy(),
-                            "bias": v.raw_bias_view().copy(),
-                        }
-                    )
-                )
-        if not rows:
-            return pd.DataFrame({"src": [], "dst": [], "bias": []})
-        return (
-            pd.concat(rows, ignore_index=True)
-            .sort_values(["src", "dst"])
-            .reset_index(drop=True)
-        )
+                yield u, v.neighbors_view(), v.raw_bias_view()
+
+    def edges(self) -> pd.DataFrame:
+        """Materialize the current edge list (oracle-side ground truth)."""
+        return dynamic_graph.edge_frame(self.items())
 
     # -- sampling ------------------------------------------------------------
 
@@ -168,13 +141,7 @@ class BingoStore:
     def _get_or_create(self, u: int) -> BingoVertex:
         v = self._v.get(int(u))
         if v is None:
-            v = BingoVertex(
-                [], [],
-                adaptive=self.adaptive,
-                float_bias=self.float_bias,
-                alpha=self.alpha,
-                beta=self.beta,
-            )
+            v = BingoVertex([], [], adaptive=self.adaptive, float_bias=self.float_bias)
             self._v[int(u)] = v
         return v
 

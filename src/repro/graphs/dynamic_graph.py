@@ -18,6 +18,31 @@ from .updates import OP_DELETE, OP_INSERT
 _POS_ENTRY_BYTES = 16
 
 
+def split_by_src(edges: pd.DataFrame):
+    """Yield (src, dsts, biases) per source vertex of an edge frame,
+    in ascending src order with each vertex's edges in frame order."""
+    src = edges["src"].to_numpy()
+    order = np.argsort(src, kind="stable")
+    uniq, starts = np.unique(src[order], return_index=True)
+    dsts = np.split(edges["dst"].to_numpy()[order], starts[1:])
+    biases = np.split(edges["bias"].to_numpy()[order], starts[1:])
+    for u, d, b in zip(uniq, dsts, biases):
+        yield int(u), d, b
+
+
+def edge_frame(triples) -> pd.DataFrame:
+    """The (src, dst, bias) frame, sorted by (src, dst), of an iterable
+    of (vertex, dsts, biases) triples — the inverse of ``split_by_src``."""
+    triples = list(triples)
+    if not triples:
+        return pd.DataFrame({"src": [], "dst": [], "bias": []})
+    src = np.concatenate([np.full(len(d), u, dtype=np.int64) for u, d, _ in triples])
+    dst = np.concatenate([d for _, d, _ in triples])
+    bias = np.concatenate([b for _, _, b in triples])
+    order = np.lexsort((dst, src))
+    return pd.DataFrame({"src": src[order], "dst": dst[order], "bias": bias[order]})
+
+
 class _VertexAdj:
     __slots__ = ("dst", "bias", "pos")
 
@@ -36,16 +61,8 @@ class Adjacency:
     @classmethod
     def from_edges(cls, edges: pd.DataFrame) -> "Adjacency":
         adj = cls()
-        src = edges["src"].to_numpy()
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = edges["dst"].to_numpy()[order]
-        bias = edges["bias"].to_numpy()[order]
-        uniq, starts = np.unique(src, return_index=True)
-        bounds = np.append(starts, len(src))
-        for i, u in enumerate(uniq):
-            lo, hi = bounds[i], bounds[i + 1]
-            adj._v[int(u)] = _VertexAdj(dst[lo:hi], bias[lo:hi])
+        for u, dsts, biases in split_by_src(edges):
+            adj._v[u] = _VertexAdj(dsts, biases)
         return adj
 
     def insert(self, src: int, dst: int, bias: float) -> None:
@@ -112,20 +129,7 @@ class Adjacency:
         return sum(len(v.dst) for v in self._v.values())
 
     def edges(self) -> pd.DataFrame:
-        rows = []
-        for u, dsts, biases in self.items():
-            rows.append(pd.DataFrame({
-                "src": np.full(len(dsts), u, dtype=np.int64),
-                "dst": dsts.copy(),
-                "bias": biases.copy(),
-            }))
-        if not rows:
-            return pd.DataFrame({"src": [], "dst": [], "bias": []})
-        return (
-            pd.concat(rows, ignore_index=True)
-            .sort_values(["src", "dst"])
-            .reset_index(drop=True)
-        )
+        return edge_frame(self.items())
 
     @property
     def nbytes(self) -> int:

@@ -17,12 +17,3 @@ def partition_of(vertices, n_parts: int) -> np.ndarray:
     """Stable partition id in [0, n_parts) for each vertex id."""
     v = np.asarray(vertices, dtype=np.uint64)
     return ((v * _KNUTH) >> np.uint64(16)).astype(np.int64) % np.int64(n_parts)
-
-
-def split_by_partition(df, column: str, n_parts: int):
-    """Yield (pid, sub-frame) pairs of ``df`` grouped by vertex partition."""
-    pids = partition_of(df[column].to_numpy(), n_parts)
-    for pid in range(n_parts):
-        mask = pids == pid
-        if mask.any():
-            yield pid, df[mask].reset_index(drop=True)

@@ -9,8 +9,10 @@ per-vertex sampling structures from scratch — the O(E)-per-round cost
 BINGO's incremental updates avoid.
 
 All comparators expose the same engine surface as ``BingoStore``
-(sample_next / has_edge / vertices / memory_bytes), so the one walk
-engine drives every framework in Table 3.
+(apply_batch / sample_next / has_edge / vertices / edges / memory_bytes),
+so the one walk engine and the one Table 3 loop drive every framework.
+They share the walker dispatch loop too; each differs only in its
+``rebuild`` and ``draw``.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import abc
 import numpy as np
 import pandas as pd
 
+from ..core.grouping import iter_vertex_groups
 from ..graphs.dynamic_graph import Adjacency
 
 
@@ -33,7 +36,7 @@ class StaticRebuildStore(abc.ABC):
 
     # -- update protocol -----------------------------------------------------
 
-    def apply_round(self, batch: pd.DataFrame) -> None:
+    def apply_batch(self, batch: pd.DataFrame) -> None:
         """Absorb one update batch, then reconstruct sampling structures
         (the per-round reload these systems require)."""
         self.adj.apply(batch)
@@ -60,9 +63,25 @@ class StaticRebuildStore(abc.ABC):
     def edges(self) -> pd.DataFrame:
         return self.adj.edges()
 
-    @abc.abstractmethod
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        """Next-hop per walker; -1 for dead ends."""
+        """Next-hop per walker; -1 for dead ends.
+
+        Walkers are grouped by current vertex with the same sort-based
+        kernel as ``BingoStore``, so dispatch overhead cancels out of the
+        Table 3 comparison and only ``draw`` differs between engines.
+        """
+        cur = np.asarray(cur, dtype=np.int64)
+        out = np.full(len(cur), -1, dtype=np.int64)
+        for u, idx in iter_vertex_groups(cur):
+            dsts, biases = self.adj.neighbors(u)
+            if len(dsts):
+                out[idx] = dsts[self.draw(u, biases, rng, len(idx))]
+        return out
+
+    @abc.abstractmethod
+    def draw(self, u: int, biases: np.ndarray, rng: np.random.Generator, m: int):
+        """Indices into ``u``'s neighbor list of ``m`` draws ∝ ``biases``
+        (a scalar index is allowed when ``m == 1``)."""
 
     @abc.abstractmethod
     def structure_nbytes(self) -> int:
@@ -70,29 +89,3 @@ class StaticRebuildStore(abc.ABC):
 
     def memory_bytes(self) -> tuple[int, int]:
         return self.adj.nbytes, self.structure_nbytes()
-
-
-def per_vertex_sample(store_tables: dict, fallback, rng, cur: np.ndarray,
-                      draw, draw_one=None) -> np.ndarray:
-    """Group walkers by current vertex and draw each group in one call.
-
-    ``draw(table, rng, m)`` returns m neighbor *indices* for one vertex's
-    table; ``draw_one(table, rng)`` is the scalar fast path (defaults to
-    a size-1 ``draw``); ``fallback(u)`` maps a vertex to (dsts view) for
-    index→id translation. Vertices without a table (degree 0) yield -1.
-    Uses the same sort-based dispatch kernel as ``BingoStore`` so
-    dispatch overhead cancels out of the Table 3 comparison.
-    """
-    from ..core.grouping import iter_vertex_groups
-
-    cur = np.asarray(cur, dtype=np.int64)
-    out = np.full(len(cur), -1, dtype=np.int64)
-    for u, idx in iter_vertex_groups(cur):
-        table = store_tables.get(u)
-        if table is None:
-            continue
-        if len(idx) == 1 and draw_one is not None:
-            out[idx[0]] = fallback(u)[draw_one(table, rng)]
-        else:
-            out[idx] = fallback(u)[draw(table, rng, len(idx))]
-    return out

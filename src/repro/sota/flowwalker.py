@@ -9,8 +9,6 @@ high-degree graphs: the paper's 25,000-second Twitter column and the
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.reservoir import reservoir_draw
 from .base import StaticRebuildStore
 
@@ -23,20 +21,10 @@ class FlowWalkerStore(StaticRebuildStore):
         # per-round "reload" cost is the adjacency update itself.
         pass
 
-    def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        from ..core.grouping import iter_vertex_groups
-
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        for u, idx in iter_vertex_groups(cur):
-            dsts, biases = self.adj.neighbors(u)
-            if len(dsts) == 0:
-                continue
-            # Every draw — even a single walker's — pays the O(d)
-            # reservoir scan: that is FlowWalker's defining cost model.
-            pick = reservoir_draw(rng, biases, len(idx))
-            out[idx] = dsts[pick]
-        return out
+    def draw(self, u, biases, rng, m):
+        # Every draw — even a single walker's — pays the O(d) reservoir
+        # scan: that is FlowWalker's defining cost model.
+        return reservoir_draw(rng, biases, m)
 
     def structure_nbytes(self) -> int:
         return 0

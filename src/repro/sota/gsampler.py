@@ -33,23 +33,11 @@ class GSamplerStore(StaticRebuildStore):
             tensors[u] = (w.copy(), p, np.cumsum(p))
         self._tensors = tensors
 
-    def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        from ..core.grouping import iter_vertex_groups
-
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        for u, idx in iter_vertex_groups(cur):
-            dsts, biases = self.adj.neighbors(u)
-            if len(dsts) == 0:
-                continue
-            # Per-step matrix materialization: renormalize + prefix-sum
-            # the frontier row, then inverse-transform sample.
-            w = np.asarray(biases, dtype=np.float64)
-            cdf = np.cumsum(w)
-            x = rng.random(len(idx)) * cdf[-1]
-            pick = np.searchsorted(cdf, x, side="right")
-            out[idx] = dsts[pick]
-        return out
+    def draw(self, u, biases, rng, m):
+        # Per-step matrix materialization: renormalize + prefix-sum the
+        # frontier row, then inverse-transform sample.
+        cdf = np.cumsum(np.asarray(biases, dtype=np.float64))
+        return np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
 
     def structure_nbytes(self) -> int:
         return sum(

@@ -10,10 +10,8 @@ graph scale.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.alias import AliasTable
-from .base import StaticRebuildStore, per_vertex_sample
+from .base import StaticRebuildStore
 
 
 class KnightKingStore(StaticRebuildStore):
@@ -24,15 +22,9 @@ class KnightKingStore(StaticRebuildStore):
             u: AliasTable(biases) for u, _dsts, biases in self.adj.items()
         }
 
-    def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        return per_vertex_sample(
-            self._tables,
-            lambda u: self.adj.neighbors(u)[0],
-            rng,
-            cur,
-            lambda t, r, m: t.sample(r, m),
-            draw_one=lambda t, r: t.sample_one(r),
-        )
+    def draw(self, u, biases, rng, m):
+        table = self._tables[u]
+        return table.sample_one(rng) if m == 1 else table.sample(rng, m)
 
     def structure_nbytes(self) -> int:
         return sum(t.nbytes for t in self._tables.values())

@@ -8,8 +8,8 @@ maps device → Spark partition:
   carried as a ``(pid, blob)`` state DataFrame (the "graph + metadata
   stay on the device" rule);
 - graph updates are routed to their owning partition with
-  ``applyInPandas`` and applied incrementally there (batched §5.2 path
-  or streaming §4.2 path), producing the next state DataFrame;
+  ``applyInPandas`` and applied incrementally there (the batched §5.2
+  path), producing the next state DataFrame;
 - walks advance in rounds: an ``applyInPandas`` task steps every walker
   whose current vertex it owns *for as long as the walk stays local*,
   then emits the walker for the next round (walker forwarding).
@@ -28,6 +28,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.store import BingoStore
+from ..graphs.dynamic_graph import edge_frame
 from ..graphs.partition import partition_of
 
 _STATE_SCHEMA = "pid long, blob binary"
@@ -43,18 +44,14 @@ class SparkBingoEngine:
         edges: pd.DataFrame,
         *,
         n_parts: int = 4,
-        adaptive: bool = True,
-        float_bias: bool = False,
     ) -> None:
         self.spark = spark
         self.n_parts = n_parts
-        self._kw = dict(adaptive=adaptive, float_bias=float_bias)
         pdf = edges[["src", "dst", "bias"]].copy()
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), n_parts)
-        kw = self._kw
 
         def build(key, part):
-            store = BingoStore(part[["src", "dst", "bias"]], **kw)
+            store = BingoStore(part[["src", "dst", "bias"]])
             return pd.DataFrame({"pid": [key[0]], "blob": [pickle.dumps(store)]})
 
         rows = (
@@ -76,14 +73,8 @@ class SparkBingoEngine:
         return pickle.loads(self._state[pid])
 
     def edges(self) -> pd.DataFrame:
-        frames = [pickle.loads(b).edges() for b in self._state.values()]
-        frames = [f for f in frames if len(f)]
-        if not frames:
-            return pd.DataFrame({"src": [], "dst": [], "bias": []})
-        return (
-            pd.concat(frames, ignore_index=True)
-            .sort_values(["src", "dst"])
-            .reset_index(drop=True)
+        return edge_frame(
+            t for b in self._state.values() for t in pickle.loads(b).items()
         )
 
     def memory_bytes(self) -> tuple[int, int]:
@@ -96,9 +87,9 @@ class SparkBingoEngine:
 
     # -- updates ---------------------------------------------------------------
 
-    def apply_updates(self, batch: pd.DataFrame, *, batched: bool = True) -> None:
+    def apply_updates(self, batch: pd.DataFrame) -> None:
         """Route one update batch to its owning partitions and apply it
-        there (batched=True → §5.2 path, else the §4.2 streaming path).
+        there on the batched §5.2 path.
 
         Partitions that receive no updates keep their previous state blob
         (the inter-group space of untouched vertices is not rebuilt)."""
@@ -106,21 +97,12 @@ class SparkBingoEngine:
         pdf["ord"] = np.arange(len(pdf), dtype=np.int64)  # preserve stream order
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), self.n_parts)
         bc = self.spark.sparkContext.broadcast(self._state)
-        kw = self._kw
 
         def update(key, part):
             pid = int(key[0])
             blob = bc.value.get(pid)
-            store = (
-                pickle.loads(blob)
-                if blob is not None
-                else BingoStore(pd.DataFrame({"src": [], "dst": [], "bias": []}), **kw)
-            )
-            part = part.sort_values("ord")
-            if batched:
-                store.apply_batch(part)
-            else:
-                store.apply_stream(part)
+            store = pickle.loads(blob) if blob is not None else BingoStore(edge_frame(()))
+            store.apply_batch(part.sort_values("ord"))
             return pd.DataFrame({"pid": [pid], "blob": [pickle.dumps(store)]})
 
         rows = (
@@ -147,14 +129,14 @@ class SparkBingoEngine:
         length: int = 80,
         seed: int = 0,
         stop_prob: float | None = None,
-        max_rounds: int | None = None,
     ) -> pd.DataFrame:
         """First-order walks with walker forwarding.
 
         Returns a segment frame (walker, step, vertex) covering every
         visited position; reconstruct paths by pivoting on (walker, step).
         Each Spark round advances walkers until they leave their current
-        partition, die at a dead end, hit the stop coin, or finish.
+        partition, die at a dead end, hit the stop coin, or finish. Every
+        (round, partition) task draws from its own RNG stream.
         """
         starts = np.asarray(starts, dtype=np.int64)
         walkers = pd.DataFrame(
@@ -168,7 +150,6 @@ class SparkBingoEngine:
         segments = [walkers[["walker", "step", "vertex"]]]
         bc = self.spark.sparkContext.broadcast(self._state)
         n_parts = self.n_parts
-        rounds = max_rounds if max_rounds is not None else length
 
         def advance(key, part):
             pid = int(key[0])
@@ -184,7 +165,7 @@ class SparkBingoEngine:
                      "alive": np.zeros(len(part), dtype=bool)}
                 )
             store = pickle.loads(blob)
-            rng = np.random.default_rng((seed, pid, int(step.min(initial=0))))
+            rng = np.random.default_rng((seed, int(part["round"].iloc[0]), pid))
             local = np.ones(len(part), dtype=bool)
             while True:
                 act = alive & local & (step < length)
@@ -217,21 +198,19 @@ class SparkBingoEngine:
             # Emitted segments carry alive=False so the driver only
             # re-dispatches the per-walker tail rows.
             seg["alive"] = False
-            return pd.concat(
-                [seg, tail.assign(_tail=True).drop(columns="_tail")],
-                ignore_index=True,
-            )
+            return pd.concat([seg, tail], ignore_index=True)
 
         try:
-            for _ in range(rounds):
+            for rnd in range(length):
                 live = walkers[walkers["alive"]]
                 if live.empty:
                     break
                 pdf = live.copy()
                 pdf["pid"] = partition_of(pdf["vertex"].to_numpy(), self.n_parts)
+                pdf["round"] = rnd
                 res = (
                     self.spark.createDataFrame(
-                        pdf[["walker", "step", "vertex", "alive", "pid"]]
+                        pdf[["walker", "step", "vertex", "alive", "pid", "round"]]
                     )
                     .groupBy("pid")
                     .applyInPandas(advance, _SEGMENT_SCHEMA)

@@ -155,8 +155,10 @@ class TestStreamingDelete:
         assert_distribution(mapped, full / full.sum())
 
     def test_update_bias(self):
+        # A bias update is a delete followed by an insert (§4.2).
         v = BingoVertex([1, 2], [3, 5])
-        v.update_bias(2, 9)
+        v.delete(2)
+        v.insert(2, 9)
         assert v.total_weight == 12
         v.check_invariants()
 

@@ -8,33 +8,34 @@ from repro.core import bits
 
 
 class TestDecompose:
+    """D(w) = {2^k : k in bit_positions(w)} (Eq. 3)."""
+
     def test_paper_example_bias_5(self):
         # Running example (Fig. 4): w=5 decomposes into {1, 4}.
-        assert bits.decompose(5) == [1, 4]
+        assert bits.bit_positions(5) == [0, 2]
 
     def test_paper_example_bias_3(self):
         # Insertion example (Fig. 5): 3 = 2^0 + 2^1.
-        assert bits.decompose(3) == [1, 2]
+        assert bits.bit_positions(3) == [0, 1]
 
     def test_zero_has_empty_decomposition(self):
-        assert bits.decompose(0) == []
+        assert bits.bit_positions(0) == []
 
     def test_power_of_two_is_single_term(self):
-        assert bits.decompose(64) == [64]
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bits.decompose(-1)
+        assert bits.bit_positions(64) == [6]
 
     @given(st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=200, deadline=None)
     def test_decomposition_sums_back(self, w):
-        assert sum(bits.decompose(w)) == w
+        assert sum(1 << k for k in bits.bit_positions(w)) == w
 
     @given(st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=200, deadline=None)
     def test_bit_positions_consistent(self, w):
-        assert [1 << k for k in bits.bit_positions(w)] == bits.decompose(w)
+        # Edge w joins group p_k exactly when group_members puts it there.
+        K = bits.num_bits(w)
+        joined = [k for k in range(K) if len(bits.group_members([w], k))]
+        assert bits.bit_positions(w) == joined
 
 
 class TestGroupWeights:
@@ -70,13 +71,15 @@ class TestGroupWeights:
 
 
 class TestPopcount:
+    """t = popc(w), the number of groups edge w joins (§4.4)."""
+
     def test_known_values(self):
-        np.testing.assert_array_equal(bits.popcount([0, 1, 3, 255]), [0, 1, 2, 8])
+        assert [len(bits.bit_positions(x)) for x in [0, 1, 3, 255]] == [0, 1, 2, 8]
 
     @given(st.lists(st.integers(min_value=0, max_value=2**50), min_size=1, max_size=32))
     @settings(max_examples=100, deadline=None)
     def test_matches_python_bit_count(self, xs):
-        np.testing.assert_array_equal(bits.popcount(xs), [x.bit_count() for x in xs])
+        assert [len(bits.bit_positions(x)) for x in xs] == [x.bit_count() for x in xs]
 
     def test_num_bits(self):
         assert bits.num_bits(0) == 1

@@ -80,7 +80,7 @@ class TestSotaDistributions:
         batch = pd.DataFrame(
             {"op": [1, -1], "src": [0, 0], "dst": [3, 1], "bias": [4, 0]}
         )
-        st.apply_round(batch)
+        st.apply_batch(batch)
         assert st.has_edge(0, 3) and not st.has_edge(0, 1)
         res = random_walk(st, [0] * 30_000, rng(3), length=1)
         # Now 0 -> {2 (w1), 3 (w4)}.
@@ -129,7 +129,7 @@ class TestRebuildProtocol:
     def test_knightking_rebuild_replaces_tables(self):
         st = KnightKingStore(edges_df([(0, 1, 3), (0, 2, 1)]))
         before = st._tables[0]
-        st.apply_round(pd.DataFrame({"op": [1], "src": [0], "dst": [5], "bias": [2]}))
+        st.apply_batch(pd.DataFrame({"op": [1], "src": [0], "dst": [5], "bias": [2]}))
         assert st._tables[0] is not before
         assert st._tables[0].n == 3
 

@@ -78,6 +78,13 @@ class TestDistributedWalk:
         lengths = seg.groupby("walker").step.max()
         # Geometric with p=0.5: mean 1 extra step.
         assert 0.6 < lengths.mean() < 1.6
+        # Every round draws fresh coins, so no walker outlives ~2^-30 odds.
+        assert lengths.max() < 30
+        # P(L = k) = 2^-(k+1); capping at 5 pools the tail P(L >= 5) = 2^-5.
+        assert_distribution(
+            np.minimum(lengths.to_numpy(), 5),
+            [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 32],
+        )
 
     def test_dead_ends_stop(self, spark):
         edges = pd.DataFrame({"src": [0], "dst": [1], "bias": [1]})
@@ -87,13 +94,12 @@ class TestDistributedWalk:
 
 
 class TestDistributedUpdates:
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "streaming"])
-    def test_updates_match_ground_truth(self, spark, small_edges, batched):
+    def test_updates_match_ground_truth(self, spark, small_edges):
         plan = make_update_plan(small_edges, batch_size=80, n_batches=3,
                                 mode="mixed", seed=31)
         eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
         for b in plan.batches:
-            eng.apply_updates(b, batched=batched)
+            eng.apply_updates(b)
         truth = apply_updates(plan.initial, plan.batches)
         got = eng.edges().astype({"src": np.int64, "dst": np.int64})
         pd.testing.assert_frame_equal(got, truth, check_dtype=False)

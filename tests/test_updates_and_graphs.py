@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.partition import partition_of, split_by_partition
+from repro.graphs.partition import partition_of
 from repro.graphs.updates import (
     OP_DELETE,
     OP_INSERT,
@@ -167,7 +167,7 @@ class TestPartition:
         counts = np.bincount(p, minlength=16)
         assert counts.min() > 0.7 * counts.mean()
 
-    def test_split_by_partition_covers(self):
-        df = pd.DataFrame({"v": np.arange(500), "x": np.arange(500)})
-        parts = dict(split_by_partition(df, "v", 4))
-        assert sum(len(f) for f in parts.values()) == 500
+    def test_covers_every_partition(self):
+        # Each of 4 partitions owns some of 500 vertices, so every Spark
+        # task holds state.
+        assert set(partition_of(np.arange(500), 4).tolist()) == {0, 1, 2, 3}
