@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import (
     AliasSampler,
-    BingoSampler,
+    BingoVertex,
     ITSampler,
     RejectionSampler,
     ReservoirSampler,
@@ -31,7 +31,7 @@ from ..synth_data import biases
 from .harness import fit_loglog_slope
 
 METHODS = {
-    "bingo": BingoSampler,
+    "bingo": BingoVertex,
     "alias": AliasSampler,
     "its": ITSampler,
     "rejection": RejectionSampler,

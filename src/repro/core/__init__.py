@@ -1,6 +1,5 @@
 """BINGO core: radix-based bias factorization and the sampler zoo."""
 from .alias import AliasSampler, AliasTable
-from .bingo_sampler import BingoSampler
 from .bingo_vertex import BingoVertex, DECIMAL_KEY
 from .its import ITSampler
 from .rejection import RejectionSampler
@@ -11,7 +10,6 @@ from .store import BingoStore
 __all__ = [
     "AliasSampler",
     "AliasTable",
-    "BingoSampler",
     "BingoVertex",
     "BingoStore",
     "DECIMAL_KEY",

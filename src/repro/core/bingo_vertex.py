@@ -1,17 +1,20 @@
 """Per-vertex BINGO sampling structure (paper §4, §5.1).
 
-One ``BingoVertex`` owns a vertex's adjacency (neighbor ids + biases,
-Hornet-style dynamic arrays), its radix groups keyed by bit position,
-the optional decimal group of the floating-point scheme, and the
-inter-group alias table. It implements:
+One ``BingoVertex`` holds a vertex's λ-split biases (integer and decimal
+parts, Hornet-style dynamic arrays), its radix groups keyed by bit
+position, the optional decimal group of the floating-point scheme, and
+the inter-group alias table. It knows no destination ids: like every
+``VertexSampler`` it works on adjacency indices in [0, d), and the
+owning store maps drawn indices to destinations through its adjacency
+row (``graphs.dynamic_graph``). It implements:
 
 - hierarchical O(1) sampling (inter-group alias → intra-group unbiased,
   Eq. 5-7);
 - O(K) streaming insert (§4.2): append to each touched group, rebuild
   the K-entry inter-group alias table;
-- O(K) streaming delete (§4.2): inverted-index locate + delete-and-swap
-  in each touched group, plus adjacency swap with index renaming
-  propagated via ``replace_index``;
+- O(K) streaming delete (§4.2): delete-and-swap in each touched group,
+  plus the adjacency's swap with index renaming propagated via
+  ``replace_index``;
 - adaptive group representations (§5.1) with on-the-fly reclassification
   and conversion counters (the raw data behind the paper's Table 4);
 - floating-point biases via the λ amortization factor (§4.3).
@@ -29,8 +32,6 @@ from . import bits
 from .alias import AliasTable
 from .dynarray import DynArray
 from .groups import (
-    ALPHA,
-    BETA,
     KIND_DECIMAL,
     KIND_DENSE,
     KIND_ONE,
@@ -38,53 +39,42 @@ from .groups import (
     make_group,
     DecimalGroup,
 )
+from .sampler_api import VertexSampler
 
 #: Sentinel key for the decimal group in the inter-group key list.
 DECIMAL_KEY = -1
 
-# Accounting bytes for one entry of the dst->index locate map (the §4.2
-# design that makes "locate this edge" O(1) for deletions).
-_POS_ENTRY_BYTES = 16
 
+class BingoVertex(VertexSampler):
+    """BINGO sampling space over one vertex's biases, in index space."""
 
-class BingoVertex:
-    """BINGO sampling space for a single vertex."""
+    name = "bingo"
 
     def __init__(
         self,
-        dsts,
         biases,
         *,
         adaptive: bool = True,
-        alpha: float = ALPHA,
-        beta: float = BETA,
         float_bias: bool = False,
         lam: float | None = None,
     ) -> None:
-        dsts = np.asarray(dsts, dtype=np.int64)
-        raw = np.asarray(biases, dtype=np.float64 if float_bias else np.int64)
-        if len(dsts) != len(raw):
-            raise ValueError("dsts and biases length mismatch")
-        if len(np.unique(dsts)) != len(dsts):
-            raise ValueError("duplicate destination in neighbor list")
+        raw = np.asarray(biases, dtype=np.float64 if float_bias else None)
         if (raw <= 0).any():
             raise ValueError("biases must be positive")
         self.adaptive = adaptive
-        self.alpha = alpha
-        self.beta = beta
         self.float_bias = float_bias
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
-        self._nbr = DynArray.from_values(dsts, dtype=np.int64)
-        self._raw = DynArray.from_values(raw, dtype=raw.dtype)
-        self._pos = {int(v): i for i, v in enumerate(dsts)}
-
+        # An empty float vertex picks λ from its first inserted bias.
+        self._fixed_lam = lam
         if float_bias:
             self.lam = lam if lam is not None else bits.choose_lambda(raw)
             ints, fracs = bits.float_split(raw, self.lam)
         else:
             self.lam = 1.0
+            if (raw >= bits.INT64_LIMIT).any() or (raw % 1).any():
+                raise ValueError("integer-bias vertex needs integers below 2**63")
             ints = raw.astype(np.int64)
             fracs = np.zeros(len(raw), dtype=np.float64)
         self._ints = DynArray.from_values(ints, dtype=np.int64)
@@ -101,7 +91,7 @@ class BingoVertex:
     def _classify(self, size: int) -> str:
         if not self.adaptive:
             return "regular"
-        return classify(size, self.degree, alpha=self.alpha, beta=self.beta)
+        return classify(size, self.degree)
 
     def _build_groups(self) -> None:
         """(Re)build all groups from the current bias arrays — O(d·K)."""
@@ -139,23 +129,11 @@ class BingoVertex:
 
     @property
     def degree(self) -> int:
-        return len(self._nbr)
-
-    def neighbors_view(self) -> np.ndarray:
-        return self._nbr.view()
+        return len(self._ints)
 
     def int_bias_view(self) -> np.ndarray:
         """Integer-part biases — what dense-group rejection tests against."""
         return self._ints.view()
-
-    def raw_bias_view(self) -> np.ndarray:
-        return self._raw.view()
-
-    def has_edge(self, dst: int) -> bool:
-        return int(dst) in self._pos
-
-    def index_of(self, dst: int) -> int:
-        return self._pos[int(dst)]
 
     def weight_of(self, index: int) -> float:
         """Effective (λ-scaled) sampling weight of adjacency index."""
@@ -227,29 +205,21 @@ class BingoVertex:
                 out[sl] = grp.sample(rng, hi - lo, self)
         return out
 
-    def sample_dst(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Hierarchical sampling; returns neighbor (destination) ids."""
-        return self._nbr.view()[self.sample(rng, size)]
-
-    def sample_dst_one(self, rng: np.random.Generator) -> int:
-        return int(self._nbr._buf[self.sample_one(rng)])
-
-    def probabilities(self) -> np.ndarray:
-        """Exact per-index transition probabilities (test helper)."""
-        w = self._ints.view() + self._fracs.view()
-        return w / w.sum()
-
     # -- streaming updates (§4.2) -------------------------------------------
 
     def _split_bias(self, bias) -> tuple[int, float]:
+        """(integer part, decimal part) of the λ-scaled bias."""
         if self.float_bias:
             scaled = float(bias) * self.lam
             ip = int(np.floor(scaled))
-            return ip, scaled - ip
-        b = int(bias)
-        if b != bias:
-            raise ValueError("integer-bias vertex got a non-integer bias")
-        return b, 0.0
+            frac = scaled - ip
+        else:
+            ip, frac = int(bias), 0.0
+            if ip != bias:
+                raise ValueError("integer-bias vertex got a non-integer bias")
+        if ip >= bits.INT64_LIMIT:
+            raise ValueError(f"bias {bias} at λ={self.lam} overflows int64")
+        return ip, frac
 
     def _group_insert(self, k: int, idx: int) -> None:
         g = self._groups.get(k)
@@ -291,19 +261,15 @@ class BingoVertex:
             self.conversions[(g.kind, desired)] += 1
             self._groups[k] = make_group(desired, k, members, self.degree)
 
-    def _insert_edge(self, dst: int, bias) -> int:
+    def _insert_edge(self, bias) -> int:
         """Intra-group part of insertion; caller must ``_finalize_update``."""
-        dst = int(dst)
-        if dst in self._pos:
-            raise KeyError(f"edge to {dst} already present")
         if bias <= 0:
             raise ValueError("bias must be positive")
+        if self.float_bias and self._fixed_lam is None and self.degree == 0:
+            self.lam = bits.choose_lambda([bias])  # free: every group is empty
         ip, frac = self._split_bias(bias)
-        idx = self._nbr.append(dst)
-        self._raw.append(bias)
-        self._ints.append(ip)
+        idx = self._ints.append(ip)
         self._fracs.append(frac)
-        self._pos[dst] = idx
         for k in bits.bit_positions(ip):
             self._group_insert(k, idx)
         if frac > 0:
@@ -312,33 +278,22 @@ class BingoVertex:
             self._decimal.insert(idx, frac)
         return idx
 
-    def _delete_edge(self, dst: int) -> None:
-        """Intra-group part of deletion; caller must ``_finalize_update``."""
-        dst = int(dst)
-        idx = self._pos.pop(dst, None)
-        if idx is None:
-            raise KeyError(f"no edge to {dst}")
-        ip = int(self._ints[idx])
-        frac = float(self._fracs[idx])
-        for k in bits.bit_positions(ip):
+    def _leave_groups(self, idx: int) -> None:
+        """Remove index ``idx`` from every group it belongs to."""
+        for k in bits.bit_positions(int(self._ints[idx])):
             self._group_delete(k, idx)
-        if frac > 0:
+        if self._fracs[idx] > 0:
             self._decimal.delete(idx)
             if self._decimal.size == 0:
                 self._decimal = None
-        last = self.degree - 1
-        moved_dst = self._nbr.pop_swap(idx)
-        self._raw.pop_swap(idx)
-        self._ints.pop_swap(idx)
-        self._fracs.pop_swap(idx)
-        if moved_dst is not None:  # tail element renamed last -> idx
-            mip = int(self._ints[idx])
-            mfrac = float(self._fracs[idx])
-            for k in bits.bit_positions(mip):
-                self._groups[k].replace_index(last, idx)
-            if mfrac > 0:
-                self._decimal.replace_index(last, idx)
-            self._pos[int(moved_dst)] = idx
+
+    def _rename(self, old: int, new: int) -> None:
+        """Point every group holding index ``old`` at ``new`` — the entry
+        the adjacency moved by its own delete-and-swap."""
+        for k in bits.bit_positions(int(self._ints[old])):
+            self._groups[k].replace_index(old, new)
+        if self._fracs[old] > 0:
+            self._decimal.replace_index(old, new)
 
     def _finalize_update(self) -> None:
         """Reclassify + rebuild the inter-group table — once per streaming
@@ -346,27 +301,29 @@ class BingoVertex:
         self._reclassify_all()
         self._rebuild_inter()
 
-    def insert(self, dst: int, bias) -> int:
-        """Streaming edge insertion (§4.2) — O(K) plus rare conversions."""
-        idx = self._insert_edge(dst, bias)
+    def insert(self, bias) -> int:
+        """Streaming insertion (§4.2) — O(K) plus rare conversions;
+        returns the new index d-1."""
+        idx = self._insert_edge(bias)
         self._finalize_update()
         return idx
 
-    def delete(self, dst: int) -> None:
-        """Streaming edge deletion (§4.2): inverted-index locate,
-        delete-and-swap per touched group, adjacency swap + renaming."""
-        self._delete_edge(dst)
+    def delete(self, index: int) -> None:
+        """Streaming deletion (§4.2): delete-and-swap in each touched
+        group, then the tail index d-1 is renamed to ``index``."""
+        idx = int(index)
+        self._leave_groups(idx)
+        last = self.degree - 1
+        if idx != last:
+            self._rename(last, idx)
+        self._ints.pop_swap(idx)
+        self._fracs.pop_swap(idx)
         self._finalize_update()
 
     # -- memory accounting (§4.4, Fig. 11, Table 3) --------------------------
 
     @property
-    def graph_nbytes(self) -> int:
-        """Adjacency bytes: neighbor ids + raw biases + locate map."""
-        return self._nbr.nbytes + self._raw.nbytes + _POS_ENTRY_BYTES * len(self._pos)
-
-    @property
-    def structure_nbytes(self) -> int:
+    def nbytes(self) -> int:
         """Sampling-structure bytes: groups + inverted indices + inter table
         + the λ-split arrays (float mode only adds the fraction array)."""
         n = sum(g.nbytes for g in self._groups.values())
@@ -379,19 +336,13 @@ class BingoVertex:
             n += self._fracs.nbytes
         return n
 
-    @property
-    def nbytes(self) -> int:
-        return self.graph_nbytes + self.structure_nbytes
-
     # -- invariants (tests) --------------------------------------------------
 
     def check_invariants(self) -> None:
         """Assert the structure matches a from-scratch reconstruction."""
         ints = self._ints.view()
         d = self.degree
-        assert len(self._pos) == d
-        for dst, i in self._pos.items():
-            assert int(self._nbr[i]) == dst
+        assert len(self._fracs) == d
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
         for k in range(K):
             expect = bits.group_members(ints, k)

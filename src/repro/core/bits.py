@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Integer parts must stay below this to fit the int64 bias arrays.
+INT64_LIMIT = 1 << 63
+
 
 def num_bits(max_bias: int) -> int:
     """K — the number of radix groups needed for biases up to ``max_bias``."""
@@ -56,6 +59,8 @@ def float_split(biases, lam: float) -> tuple[np.ndarray, np.ndarray]:
     scaled = np.asarray(biases, dtype=np.float64) * lam
     if (scaled < 0).any():
         raise ValueError("biases must be non-negative")
+    if (scaled >= INT64_LIMIT).any():
+        raise ValueError(f"a bias at λ={lam} overflows int64")
     ints = np.floor(scaled).astype(np.int64)
     return ints, scaled - ints
 
@@ -79,7 +84,9 @@ def choose_lambda(biases, *, target_ratio: float | None = None, base: float = 10
     hierarchical sampling expected O(1).
     """
     b = np.asarray(biases, dtype=np.float64)
-    d = max(1, len(b))
+    if len(b) == 0:
+        return 1.0  # nothing to scale; an empty vertex re-chooses on insert
+    d = len(b)
     if target_ratio is None:
         target_ratio = 1.0 / d
     lam = 1.0

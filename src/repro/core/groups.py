@@ -20,8 +20,8 @@ Adaptive representations (Eq. 9, α=40, β=10):
 
 All index-carrying groups support O(1) ``insert``/``delete`` (via the
 inverted index + delete-and-swap) and O(1) ``replace_index`` so the
-owning vertex can rename the adjacency index moved by its own
-swap-deletion.
+owning vertex can follow the index its adjacency row's swap-deletion
+moved.
 """
 from __future__ import annotations
 

@@ -58,8 +58,3 @@ class VertexSampler(abc.ABC):
     @abc.abstractmethod
     def nbytes(self) -> int:
         """Bytes held by the sampling structure (Table 1 memory column)."""
-
-    def probabilities(self) -> np.ndarray:
-        """Exact transition probabilities — test/oracle helper, O(d)."""
-        w = np.array([self.weight_of(i) for i in range(self.degree)], dtype=np.float64)
-        return w / w.sum()

@@ -1,5 +1,6 @@
-"""Graph-wide BINGO store: one ``BingoVertex`` per vertex (paper §6
-"treats each vertex as an individual object").
+"""Graph-wide BINGO store: one dynamic adjacency plus one ``BingoVertex``
+per vertex (paper §6 "treats each vertex as an individual object", on
+the Hornet-style substrate of §9.1).
 
 The store is the engine-facing surface shared by BINGO and the SOTA
 simulators: vectorized next-hop sampling for a batch of walkers,
@@ -64,55 +65,44 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
 
 
 class BingoStore:
-    """Per-vertex BINGO structures over a whole (dynamic) graph."""
+    """One dynamic adjacency plus one BINGO sampler per source vertex.
+
+    ``adj`` answers every graph-level query; each ``BingoVertex`` in
+    ``_v`` works on the same adjacency indices as its row, and drawn
+    indices map to destinations through that row."""
 
     name = "bingo"
 
-    def __init__(
-        self,
-        edges: pd.DataFrame,
-        *,
-        adaptive: bool = True,
-        float_bias: bool = False,
-    ) -> None:
-        self.adaptive = adaptive
+    def __init__(self, edges: pd.DataFrame, *, float_bias: bool = False) -> None:
         self.float_bias = float_bias
+        self.adj = dynamic_graph.Adjacency.from_edges(edges)
         self._v: dict[int, BingoVertex] = {
-            u: BingoVertex(dsts, biases, adaptive=adaptive, float_bias=float_bias)
-            for u, dsts, biases in dynamic_graph.split_by_src(edges)
+            u: BingoVertex(row.bias.view(), float_bias=float_bias)
+            for u, row in self.adj.rows.items()
         }
 
     # -- queries -------------------------------------------------------------
 
-    def vertex(self, u: int) -> BingoVertex | None:
-        return self._v.get(int(u))
-
     def vertices(self) -> np.ndarray:
         """Vertex ids with at least one out-edge (walker start points)."""
-        return np.array(
-            sorted(u for u, v in self._v.items() if v.degree > 0), dtype=np.int64
-        )
+        return self.adj.vertices()
 
     def out_degree(self, u: int) -> int:
-        v = self._v.get(int(u))
-        return 0 if v is None else v.degree
+        return self.adj.out_degree(u)
 
     def has_edge(self, u: int, dst: int) -> bool:
-        v = self._v.get(int(u))
-        return v is not None and v.has_edge(dst)
+        return self.adj.has_edge(u, dst)
 
     def num_edges(self) -> int:
-        return sum(v.degree for v in self._v.values())
+        return self.adj.num_edges()
 
     def items(self):
         """Yield (vertex, dst view, raw-bias view) for non-empty vertices."""
-        for u, v in self._v.items():
-            if v.degree:
-                yield u, v.neighbors_view(), v.raw_bias_view()
+        return self.adj.items()
 
     def edges(self) -> pd.DataFrame:
         """Materialize the current edge list (oracle-side ground truth)."""
-        return dynamic_graph.edge_frame(self.items())
+        return self.adj.edges()
 
     # -- sampling ------------------------------------------------------------
 
@@ -126,23 +116,24 @@ class BingoStore:
         cur = np.asarray(cur, dtype=np.int64)
         out = np.full(len(cur), -1, dtype=np.int64)
         get = self._v.get
+        rows = self.adj.rows
         for u, idx in iter_vertex_groups(cur):
             v = get(u)
             if v is None or v.degree == 0:
                 continue
+            dst = rows[u].dst
             if len(idx) == 1:
-                out[idx[0]] = v.sample_dst_one(rng)
+                out[idx[0]] = dst._buf[v.sample_one(rng)]
             else:
-                out[idx] = v.sample_dst(rng, len(idx))
+                out[idx] = dst.view()[v.sample(rng, len(idx))]
         return out
 
     # -- updates -------------------------------------------------------------
 
-    def _get_or_create(self, u: int) -> BingoVertex:
-        v = self._v.get(int(u))
+    def _sampler(self, u: int) -> BingoVertex:
+        v = self._v.get(u)
         if v is None:
-            v = BingoVertex([], [], adaptive=self.adaptive, float_bias=self.float_bias)
-            self._v[int(u)] = v
+            v = self._v[u] = BingoVertex([], float_bias=self.float_bias)
         return v
 
     def apply_stream(self, batch: pd.DataFrame) -> None:
@@ -150,13 +141,15 @@ class BingoStore:
         for op, src, dst, bias in zip(
             batch["op"], batch["src"], batch["dst"], batch["bias"]
         ):
+            u, dst = int(src), int(dst)
             if op == OP_INSERT:
-                self._get_or_create(int(src)).insert(int(dst), bias)
+                row = self.adj.row(u)
+                if dst in row.pos:
+                    raise KeyError(f"insert of existing edge ({u},{dst})")
+                self._sampler(u).insert(bias)  # validates before the row changes
+                row.append(dst, bias)
             elif op == OP_DELETE:
-                v = self._v.get(int(src))
-                if v is None:
-                    raise KeyError(f"delete from unknown vertex {src}")
-                v.delete(int(dst))
+                self._v[u].delete(self.adj.delete(u, dst))
             else:
                 raise ValueError(f"unknown op {op}")
 
@@ -165,16 +158,15 @@ class BingoStore:
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
         for u in set(inserts) | set(deletes):
             apply_vertex_batch(
-                self._get_or_create(u), inserts.get(u, []), deletes.get(u, [])
+                self._sampler(u), inserts.get(u, []), deletes.get(u, []),
+                self.adj.row(u),
             )
 
     # -- accounting ----------------------------------------------------------
 
     def memory_bytes(self) -> tuple[int, int]:
         """(graph bytes, sampling-structure bytes) across all vertices."""
-        g = sum(v.graph_nbytes for v in self._v.values())
-        s = sum(v.structure_nbytes for v in self._v.values())
-        return g, s
+        return self.adj.nbytes, sum(v.nbytes for v in self._v.values())
 
     def conversion_stats(self) -> tuple[Counter, Counter]:
         """Aggregated (conversions, touches) counters — Table 4's raw data."""
@@ -193,5 +185,15 @@ class BingoStore:
         return hist
 
     def check_invariants(self) -> None:
-        for v in self._v.values():
+        """Every sampler matches a from-scratch rebuild and stays aligned
+        with its adjacency row: same degree, and the sampler's weight at
+        each index is the row's raw bias there, λ-scaled."""
+        assert self._v.keys() == self.adj.rows.keys()
+        for u, v in self._v.items():
             v.check_invariants()
+            row = self.adj.rows[u]
+            d = len(row.dst)
+            assert v.degree == d == len(row.pos)
+            assert all(int(row.dst[i]) == dst for dst, i in row.pos.items())
+            w = np.array([v.weight_of(i) for i in range(d)], dtype=np.float64)
+            np.testing.assert_array_equal(w, row.bias.view() * v.lam)

@@ -1,11 +1,11 @@
 """Dynamic adjacency substrate (paper §9.1: Hornet-style dynamic arrays).
 
-This is the graph container shared by the SOTA comparator engines: a
-per-vertex pair of dynamic arrays (destinations, biases) plus an O(1)
-dst→index locate map. Updates are O(1) amortized (append / swap-delete),
-exactly the substrate BINGO assumes underneath its sampling structures —
-the comparators differ only in what *sampling* structure they rebuild on
-top of it.
+This is the one graph container under every store — BINGO and the three
+SOTA comparators: a per-vertex pair of dynamic arrays (destinations,
+biases) plus an O(1) dst→index locate map. Updates are O(1) amortized
+(append / swap-delete, or one two-phase compaction per batch), and each
+store keeps its *sampling* structures in the same index space, so the
+frameworks differ only in what they build on top of it.
 """
 from __future__ import annotations
 
@@ -44,47 +44,74 @@ def edge_frame(triples) -> pd.DataFrame:
 
 
 class _VertexAdj:
+    """One vertex's row: destinations, biases and the dst->index locate map."""
+
     __slots__ = ("dst", "bias", "pos")
 
     def __init__(self, dsts, biases):
         self.dst = DynArray.from_values(dsts, dtype=np.int64)
         self.bias = DynArray.from_values(biases, dtype=np.float64)
         self.pos = {int(v): i for i, v in enumerate(self.dst.view())}
+        if len(self.pos) != len(self.dst):
+            raise ValueError("duplicate destination in neighbor list")
+
+    def append(self, dst: int, bias) -> int:
+        """Add edge to ``dst``; returns its index (the old degree)."""
+        if dst in self.pos:
+            raise KeyError(f"edge to {dst} already present")
+        idx = self.dst.append(dst)
+        self.bias.append(float(bias))
+        self.pos[dst] = idx
+        return idx
+
+    def compact(self, slots, fillers, n: int) -> None:
+        """Apply a ``plan_two_phase_delete`` plan (§5.2 batched delete);
+        the deleted destinations must already be popped from ``pos``."""
+        for p, moved in zip(slots.tolist(), self.dst.view()[fillers].tolist()):
+            self.pos[moved] = p
+        self.dst.compact(slots, fillers, n)
+        self.bias.compact(slots, fillers, n)
 
 
 class Adjacency:
-    """Vertex-indexed dynamic adjacency with O(1) updates."""
+    """Vertex-indexed dynamic adjacency with O(1) updates.
+
+    ``rows`` maps each vertex that ever had an out-edge to its row."""
 
     def __init__(self) -> None:
-        self._v: dict[int, _VertexAdj] = {}
+        self.rows: dict[int, _VertexAdj] = {}
 
     @classmethod
     def from_edges(cls, edges: pd.DataFrame) -> "Adjacency":
+        """Build from an edge frame; duplicate (src, dst) pairs raise."""
         adj = cls()
         for u, dsts, biases in split_by_src(edges):
-            adj._v[u] = _VertexAdj(dsts, biases)
+            adj.rows[u] = _VertexAdj(dsts, biases)
         return adj
 
-    def insert(self, src: int, dst: int, bias: float) -> None:
-        v = self._v.get(int(src))
-        if v is None:
-            v = _VertexAdj([], [])
-            self._v[int(src)] = v
-        if int(dst) in v.pos:
-            raise KeyError(f"edge ({src},{dst}) already present")
-        idx = v.dst.append(int(dst))
-        v.bias.append(float(bias))
-        v.pos[int(dst)] = idx
+    def row(self, u: int) -> _VertexAdj:
+        """``u``'s row, created empty on first use."""
+        r = self.rows.get(u)
+        if r is None:
+            r = self.rows[u] = _VertexAdj([], [])
+        return r
 
-    def delete(self, src: int, dst: int) -> None:
-        v = self._v.get(int(src))
-        if v is None or int(dst) not in v.pos:
+    def insert(self, src: int, dst: int, bias: float) -> int:
+        """Append edge (src, dst); returns its index in ``src``'s row."""
+        return self.row(int(src)).append(int(dst), bias)
+
+    def delete(self, src: int, dst: int) -> int:
+        """Swap-delete edge (src, dst); returns the vacated index, which
+        the former tail now holds."""
+        r = self.rows.get(int(src))
+        if r is None or int(dst) not in r.pos:
             raise KeyError(f"edge ({src},{dst}) not present")
-        idx = v.pos.pop(int(dst))
-        moved = v.dst.pop_swap(idx)
-        v.bias.pop_swap(idx)
+        idx = r.pos.pop(int(dst))
+        moved = r.dst.pop_swap(idx)
+        r.bias.pop_swap(idx)
         if moved is not None:
-            v.pos[int(moved)] = idx
+            r.pos[int(moved)] = idx
+        return idx
 
     def apply(self, batch: pd.DataFrame) -> None:
         """Apply one in-order update batch (columns op/src/dst/bias)."""
@@ -102,38 +129,39 @@ class Adjacency:
 
     def vertices(self) -> np.ndarray:
         return np.array(
-            sorted(u for u, v in self._v.items() if len(v.dst) > 0), dtype=np.int64
+            sorted(u for u, r in self.rows.items() if len(r.dst) > 0), dtype=np.int64
         )
 
     def items(self):
         """Yield (vertex, dst view, bias view) for non-empty vertices."""
-        for u, v in self._v.items():
-            if len(v.dst):
-                yield u, v.dst.view(), v.bias.view()
+        for u, r in self.rows.items():
+            if len(r.dst):
+                yield u, r.dst.view(), r.bias.view()
 
     def neighbors(self, u: int):
-        v = self._v.get(int(u))
-        if v is None:
+        r = self.rows.get(int(u))
+        if r is None:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        return v.dst.view(), v.bias.view()
+        return r.dst.view(), r.bias.view()
 
     def out_degree(self, u: int) -> int:
-        v = self._v.get(int(u))
-        return 0 if v is None else len(v.dst)
+        r = self.rows.get(int(u))
+        return 0 if r is None else len(r.dst)
 
     def has_edge(self, u: int, dst: int) -> bool:
-        v = self._v.get(int(u))
-        return v is not None and int(dst) in v.pos
+        r = self.rows.get(int(u))
+        return r is not None and int(dst) in r.pos
 
     def num_edges(self) -> int:
-        return sum(len(v.dst) for v in self._v.values())
+        return sum(len(r.dst) for r in self.rows.values())
 
     def edges(self) -> pd.DataFrame:
         return edge_frame(self.items())
 
     @property
     def nbytes(self) -> int:
+        """Capacity bytes of destinations and biases, plus the locate map."""
         return sum(
-            v.dst.nbytes + v.bias.nbytes + _POS_ENTRY_BYTES * len(v.pos)
-            for v in self._v.values()
+            r.dst.nbytes + r.bias.nbytes + _POS_ENTRY_BYTES * len(r.pos)
+            for r in self.rows.values()
         )

@@ -31,8 +31,15 @@ from ..core.store import BingoStore
 from ..graphs.dynamic_graph import edge_frame
 from ..graphs.partition import partition_of
 
-_STATE_SCHEMA = "pid long, blob binary"
+_STATE_SCHEMA = "pid long, blob binary, verts array<long>"
 _SEGMENT_SCHEMA = "walker long, step long, vertex long, alive boolean"
+
+
+def _state_row(pid, store: BingoStore) -> pd.DataFrame:
+    """One partition's state row: its pickled store and vertex census."""
+    return pd.DataFrame(
+        {"pid": [pid], "blob": [pickle.dumps(store)], "verts": [store.vertices()]}
+    )
 
 
 class SparkBingoEngine:
@@ -51,22 +58,27 @@ class SparkBingoEngine:
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), n_parts)
 
         def build(key, part):
-            store = BingoStore(part[["src", "dst", "bias"]])
-            return pd.DataFrame({"pid": [key[0]], "blob": [pickle.dumps(store)]})
+            return _state_row(key[0], BingoStore(part[["src", "dst", "bias"]]))
 
-        rows = (
+        self._state: dict[int, bytes] = {}
+        self._census: dict[int, np.ndarray] = {}
+        self._collect(
             self.spark.createDataFrame(pdf)
             .groupBy("pid")
             .applyInPandas(build, _STATE_SCHEMA)
-            .collect()
         )
-        self._state: dict[int, bytes] = {int(r["pid"]): r["blob"] for r in rows}
-        self._vertices = np.sort(pdf["src"].unique())
+
+    def _collect(self, states) -> None:
+        """Take in the (pid, blob, verts) rows of a build or update job."""
+        for r in states.collect():
+            self._state[int(r["pid"])] = r["blob"]
+            self._census[int(r["pid"])] = np.asarray(r["verts"], dtype=np.int64)
 
     # -- driver-side views ----------------------------------------------------
 
     def vertices(self) -> np.ndarray:
-        return self._vertices
+        """Vertices with an out-edge, from the partition states' census."""
+        return np.sort(np.concatenate([np.empty(0, np.int64), *self._census.values()]))
 
     def store_of(self, pid: int) -> BingoStore:
         """Deserialize one partition's store (tests / inspection)."""
@@ -103,22 +115,16 @@ class SparkBingoEngine:
             blob = bc.value.get(pid)
             store = pickle.loads(blob) if blob is not None else BingoStore(edge_frame(()))
             store.apply_batch(part.sort_values("ord"))
-            return pd.DataFrame({"pid": [pid], "blob": [pickle.dumps(store)]})
+            return _state_row(pid, store)
 
-        rows = (
-            self.spark.createDataFrame(pdf)
-            .groupBy("pid")
-            .applyInPandas(update, _STATE_SCHEMA)
-            .collect()
-        )
         try:
-            for r in rows:
-                self._state[int(r["pid"])] = r["blob"]
+            self._collect(
+                self.spark.createDataFrame(pdf)
+                .groupBy("pid")
+                .applyInPandas(update, _STATE_SCHEMA)
+            )
         finally:
             bc.unpersist()
-        # Keep the driver-side vertex census current for walk starts.
-        ins = batch[batch["op"] == 1]["src"].unique()
-        self._vertices = np.union1d(self._vertices, ins.astype(np.int64))
 
     # -- walks -----------------------------------------------------------------
 

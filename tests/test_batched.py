@@ -7,9 +7,10 @@ import pytest
 from repro.core import BingoStore, BingoVertex
 from repro.core.batched import apply_vertex_batch, batched_delete, plan_two_phase_delete
 from repro.core.store import resolve_net_effects
+from repro.graphs.dynamic_graph import Adjacency
 from repro.graphs.updates import make_update_plan, apply_updates
 from repro.synth_data import graph_edges
-from tests.util import assert_distribution, rng
+from tests.util import assert_distribution, rng, weights
 
 
 class TestTwoPhasePlan:
@@ -76,48 +77,58 @@ class TestTwoPhasePlan:
             assert sorted(out[:nd].tolist()) == survivors
 
 
+def row_of(dsts, biases):
+    """The adjacency row of vertex 0 over ``dsts`` / ``biases``."""
+    return Adjacency.from_edges(
+        pd.DataFrame({"src": 0, "dst": dsts, "bias": biases})
+    ).row(0)
+
+
 class TestBatchedVertexOps:
     def test_batched_delete_matches_streaming(self):
         g = rng(3)
         biases = g.integers(1, 256, 30)
-        dsts = np.arange(30) + 10
-        v_batch = BingoVertex(dsts, biases)
-        v_stream = BingoVertex(dsts, biases)
-        victims = [int(d) for d in g.choice(dsts, size=12, replace=False)]
+        v_batch = BingoVertex(biases)
+        v_stream = BingoVertex(biases)
+        victims = g.choice(30, size=12, replace=False)
         batched_delete(v_batch, victims)
         v_batch._finalize_update()
-        for d in victims:
-            v_stream.delete(d)
+        # Highest index first, so each swap moves a survivor.
+        for i in sorted(victims.tolist(), reverse=True):
+            v_stream.delete(i)
         v_batch.check_invariants()
         assert v_batch.degree == v_stream.degree
-        assert sorted(v_batch.neighbors_view()) == sorted(v_stream.neighbors_view())
+        survivors = sorted(np.delete(biases, victims).tolist())
+        assert sorted(weights(v_batch)) == sorted(weights(v_stream)) == survivors
         assert v_batch.total_weight == v_stream.total_weight
 
     def test_apply_vertex_batch_insert_then_delete(self):
-        v = BingoVertex([1, 2, 3], [4, 5, 6])
-        apply_vertex_batch(v, [(7, 8), (9, 2)], [1, 3])
+        v = BingoVertex([4, 5, 6])
+        row = row_of([1, 2, 3], [4, 5, 6])
+        apply_vertex_batch(v, [(7, 8), (9, 2)], [1, 3], row)
         v.check_invariants()
-        assert sorted(v.neighbors_view()) == [2, 7, 9]
+        assert sorted(row.dst.view()) == [2, 7, 9]
+        assert weights(v) == row.bias.view().tolist()
         assert v.total_weight == 15
 
     def test_single_rebuild_distribution(self):
         g = rng(4)
         biases = g.integers(1, 64, 20)
-        v = BingoVertex(np.arange(20), biases)
-        apply_vertex_batch(v, [(100, 32), (101, 7)], [0, 5, 19])
+        v = BingoVertex(biases)
+        row = row_of(np.arange(20), biases)
+        apply_vertex_batch(v, [(100, 32), (101, 7)], [0, 5, 19], row)
         v.check_invariants()
-        dsts = sorted(int(x) for x in v.neighbors_view())
-        probs = np.array([v.weight_of(v.index_of(d)) for d in dsts], dtype=float)
-        draws = v.sample_dst(rng(5), 60_000)
-        remap = {d: i for i, d in enumerate(dsts)}
-        mapped = np.array([remap[int(x)] for x in draws])
-        assert_distribution(mapped, probs / probs.sum())
+        assert weights(v) == row.bias.view().tolist()
+        probs = row.bias.view() / row.bias.view().sum()
+        assert_distribution(v.sample(rng(5), 60_000), probs)
 
     def test_float_vertex_batch(self):
-        v = BingoVertex([1, 2, 3], [0.5, 1.5, 2.5], float_bias=True, lam=100.0)
-        apply_vertex_batch(v, [(4, 0.25)], [2])
+        v = BingoVertex([0.5, 1.5, 2.5], float_bias=True, lam=100.0)
+        row = row_of([1, 2, 3], [0.5, 1.5, 2.5])
+        apply_vertex_batch(v, [(4, 0.25)], [2], row)
         v.check_invariants()
-        assert sorted(v.neighbors_view()) == [1, 3, 4]
+        assert sorted(row.dst.view()) == [1, 3, 4]
+        np.testing.assert_array_equal(weights(v), row.bias.view() * 100.0)
 
 
 class TestNetEffects:
@@ -182,3 +193,33 @@ class TestStoreEquivalence:
                 truth.astype({"src": np.int64, "dst": np.int64}),
                 check_dtype=False,
             )
+
+
+class TestFloatStore:
+    """``BingoStore(float_bias=True)`` under updates (§4.3 λ scaling)."""
+
+    EDGES = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 0], "bias": [0.5, 1.25, 0.3]})
+
+    @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
+    def test_new_source_takes_lambda_from_first_bias(self, path):
+        st = BingoStore(self.EDGES, float_bias=True)
+        batch = pd.DataFrame(
+            {"op": [1, 1], "src": [5, 5], "dst": [0, 1], "bias": [1e9, 2.5e8]}
+        )
+        getattr(st, path)(batch)
+        st.check_invariants()
+        pd.testing.assert_frame_equal(
+            st.edges(), apply_updates(self.EDGES, [batch]), check_dtype=False
+        )
+        hops = st.sample_next(rng(1), np.full(40_000, 5))
+        assert_distribution((hops == 1).astype(int), [0.8, 0.2])
+
+    @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
+    def test_overflowing_bias_rejected(self, path):
+        st = BingoStore(self.EDGES, float_bias=True)  # vertex 1 has λ = 10
+        with pytest.raises(ValueError):
+            getattr(st, path)(
+                pd.DataFrame({"op": [1], "src": [1], "dst": [7], "bias": [1e18]})
+            )
+        st.check_invariants()
+        assert not st.has_edge(1, 7)

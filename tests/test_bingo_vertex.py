@@ -1,24 +1,34 @@
 """BingoVertex: hierarchical sampling (Theorem 4.1), streaming updates
-(§4.2), floating-point biases (§4.3), adaptive representations (§5.1)."""
+(§4.2), floating-point biases (§4.3), adaptive representations (§5.1).
+
+A ``BingoVertex`` works on adjacency indices; the destination-level
+checks (duplicates, missing edges, index → destination) run on the
+``BingoStore`` and ``Adjacency`` that own the destination ids."""
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DECIMAL_KEY, BingoVertex
+from repro.core import DECIMAL_KEY, BingoStore, BingoVertex
 from repro.core.groups import KIND_DENSE, KIND_ONE, KIND_REGULAR, KIND_SPARSE
-from tests.util import assert_distribution, rng
+from repro.graphs.dynamic_graph import Adjacency
+from tests.util import assert_distribution, rng, weights
 
 
-def make_vertex(biases, **kw):
-    return BingoVertex(np.arange(len(biases)) + 100, biases, **kw)
+def edges_df(rows):
+    return pd.DataFrame(rows, columns=["src", "dst", "bias"])
+
+
+def events(rows):
+    return pd.DataFrame(rows, columns=["op", "src", "dst", "bias"])
 
 
 class TestConstruction:
     def test_running_example_groups(self):
         # Fig. 4: biases {5,4,3} -> group 2^0={0,2}, 2^1={2}, 2^2={0,1}
         # with weights 2, 2, 8.
-        v = make_vertex([5, 4, 3], adaptive=False)
+        v = BingoVertex([5, 4, 3], adaptive=False)
         assert v.group(0).weight() == 2
         assert v.group(1).weight() == 2
         assert v.group(2).weight() == 8
@@ -27,25 +37,32 @@ class TestConstruction:
         np.testing.assert_array_equal(v.group(2).members_array(), [0, 1])
 
     def test_total_weight_preserved(self):
-        v = make_vertex([5, 4, 3])
+        v = BingoVertex([5, 4, 3])
         assert v.total_weight == 12
 
     def test_empty_vertex(self):
-        v = BingoVertex([], [])
+        v = BingoVertex([])
         assert v.degree == 0
         with pytest.raises(ValueError):
             v.sample(rng(0), 1)
 
     def test_duplicate_neighbor_rejected(self):
+        dup = edges_df([(0, 1, 2), (0, 1, 3)])
         with pytest.raises(ValueError):
-            BingoVertex([1, 1], [2, 3])
+            Adjacency.from_edges(dup)
+        with pytest.raises(ValueError):
+            BingoStore(dup)
 
     def test_nonpositive_bias_rejected(self):
         with pytest.raises(ValueError):
-            make_vertex([1, 0])
+            BingoVertex([1, 0])
+
+    def test_noninteger_bias_rejected(self):
+        with pytest.raises(ValueError):
+            BingoVertex([1, 2.5])
 
     def test_nonadaptive_groups_all_regular(self):
-        v = make_vertex([5, 4, 3, 9, 16, 1], adaptive=False)
+        v = BingoVertex([5, 4, 3, 9, 16, 1], adaptive=False)
         assert set(v.group_kinds().values()) == {KIND_REGULAR}
 
 
@@ -54,7 +71,7 @@ class TestTheorem41:
 
     def test_eq7_exact_enumeration(self):
         biases = np.array([5, 4, 3, 7, 12, 1, 64])
-        v = make_vertex(biases, adaptive=False)
+        v = BingoVertex(biases, adaptive=False)
         total = biases.sum()
         for i, w in enumerate(biases):
             # P(v_i) = sum_k P(p_k) * P(v_i | p_k)  (Eq. 7)
@@ -67,21 +84,22 @@ class TestTheorem41:
     @pytest.mark.parametrize("adaptive", [False, True], ids=["BS", "GA"])
     def test_sampling_distribution(self, adaptive):
         biases = np.array([5, 4, 3, 7, 12, 1, 64, 33, 2, 2])
-        v = make_vertex(biases, adaptive=adaptive)
+        v = BingoVertex(biases, adaptive=adaptive)
         draws = v.sample(rng(1), 80_000)
         assert_distribution(draws, biases / biases.sum())
 
     def test_sample_dst_maps_to_neighbor_ids(self):
-        v = BingoVertex([7, 9], [1, 3])
-        dsts = v.sample_dst(rng(2), 1000)
+        st = BingoStore(edges_df([(0, 7, 1), (0, 9, 3)]))
+        dsts = st.sample_next(rng(2), np.zeros(1000, dtype=np.int64))
         assert set(np.unique(dsts)) <= {7, 9}
+        assert_distribution((dsts == 9).astype(int), [0.25, 0.75])
 
 
 class TestStreamingInsert:
     def test_paper_insert_example(self):
         # Fig. 5: insert (2,3,3) into vertex 2 -> joins groups 2^0 and 2^1.
-        v = BingoVertex([1, 4, 5], [5, 4, 3], adaptive=False)
-        v.insert(3, 3)
+        v = BingoVertex([5, 4, 3], adaptive=False)
+        assert v.insert(3) == 3
         np.testing.assert_array_equal(v.group(0).members_array(), [0, 2, 3])
         np.testing.assert_array_equal(v.group(1).members_array(), [2, 3])
         np.testing.assert_array_equal(v.group(2).members_array(), [0, 1])
@@ -89,26 +107,30 @@ class TestStreamingInsert:
         v.check_invariants()
 
     def test_insert_extends_K(self):
-        v = make_vertex([1, 2])
-        v.insert(999, 64)
+        v = BingoVertex([1, 2])
+        v.insert(64)
         assert v.group(6) is not None
         v.check_invariants()
 
     def test_insert_duplicate_rejected(self):
-        v = BingoVertex([5], [1])
+        st = BingoStore(edges_df([(0, 5, 1)]))
         with pytest.raises(KeyError):
-            v.insert(5, 2)
+            st.apply_stream(events([(1, 0, 5, 2)]))
+        with pytest.raises(KeyError):
+            st.adj.insert(0, 5, 2)
+        st.check_invariants()
+        assert st.num_edges() == 1
 
     def test_insert_distribution(self):
-        v = make_vertex([5, 4, 3])
-        v.insert(50, 8)
+        v = BingoVertex([5, 4, 3])
+        v.insert(8)
         draws = v.sample(rng(3), 60_000)
         full = np.array([5, 4, 3, 8])
         assert_distribution(draws, full / full.sum())
 
     def test_insert_into_empty(self):
-        v = BingoVertex([], [])
-        v.insert(1, 6)
+        v = BingoVertex([])
+        v.insert(6)
         assert v.degree == 1
         assert (v.sample(rng(4), 10) == 0).all()
         v.check_invariants()
@@ -117,48 +139,52 @@ class TestStreamingInsert:
 class TestStreamingDelete:
     def test_paper_delete_example(self):
         # Fig. 6: delete (2,1,5); edge index 0 leaves groups 2^0 and 2^2.
-        v = BingoVertex([1, 4, 5], [5, 4, 3], adaptive=False)
-        v.delete(1)
+        adj = Adjacency.from_edges(edges_df([(2, 1, 5), (2, 4, 4), (2, 5, 3)]))
+        assert adj.delete(2, 1) == 0
+        assert not adj.has_edge(2, 1)
+        v = BingoVertex([5, 4, 3], adaptive=False)
+        v.delete(0)
         assert v.degree == 2
-        assert not v.has_edge(1)
-        # After swap, former index 2 (dst 5, bias 3) is renamed to 0.
-        assert v.index_of(5) == 0
-        assert v.index_of(4) == 1
+        # After swap, former index 2 (dst 5, bias 3) is renamed to 0 on
+        # both sides.
+        np.testing.assert_array_equal(adj.neighbors(2)[0], [5, 4])
+        assert weights(v) == [3, 4]
         v.check_invariants()
         assert v.total_weight == 7
 
     def test_delete_missing_raises(self):
-        v = BingoVertex([1], [5])
+        st = BingoStore(edges_df([(0, 1, 5)]))
         with pytest.raises(KeyError):
-            v.delete(2)
+            st.apply_stream(events([(-1, 0, 2, 0)]))
+        st.check_invariants()
+        with pytest.raises(IndexError):
+            BingoVertex([5]).delete(1)
 
     def test_delete_tail_no_swap(self):
-        v = BingoVertex([1, 4, 5], [5, 4, 3])
-        v.delete(5)  # tail index
+        v = BingoVertex([5, 4, 3])
+        v.delete(2)  # tail index
         assert v.degree == 2
+        assert weights(v) == [5, 4]
         v.check_invariants()
 
     def test_delete_to_empty(self):
-        v = BingoVertex([1, 2], [3, 5])
-        v.delete(1)
-        v.delete(2)
+        v = BingoVertex([3, 5])
+        v.delete(0)
+        v.delete(0)
         assert v.degree == 0
         assert v.total_weight == 0
 
     def test_delete_distribution(self):
-        v = BingoVertex([10, 11, 12, 13], [5, 4, 3, 9])
-        v.delete(11)
-        draws = v.sample_dst(rng(5), 60_000)
-        remap = {10: 0, 12: 1, 13: 2}
-        mapped = np.array([remap[int(x)] for x in draws])
-        full = np.array([5, 3, 9])
-        assert_distribution(mapped, full / full.sum())
+        v = BingoVertex([5, 4, 3, 9])
+        v.delete(1)  # the tail (9) is renamed to index 1
+        full = np.array([5, 9, 3])
+        assert_distribution(v.sample(rng(5), 60_000), full / full.sum())
 
     def test_update_bias(self):
         # A bias update is a delete followed by an insert (§4.2).
-        v = BingoVertex([1, 2], [3, 5])
-        v.delete(2)
-        v.insert(2, 9)
+        v = BingoVertex([3, 5])
+        v.delete(1)
+        v.insert(9)
         assert v.total_weight == 12
         v.check_invariants()
 
@@ -168,34 +194,29 @@ class TestRandomOpSequences:
     @pytest.mark.parametrize("seed", range(6))
     def test_invariants_after_random_ops(self, adaptive, seed):
         g = rng(seed + 100)
-        ref = {}  # dst -> bias
-        v = BingoVertex([], [], adaptive=adaptive)
-        next_dst = 0
+        ref = []  # bias at each index, with the same swap-with-tail deletes
+        v = BingoVertex([], adaptive=adaptive)
         for _ in range(120):
             if ref and g.random() < 0.45:
-                dst = int(g.choice(sorted(ref)))
-                del ref[dst]
-                v.delete(dst)
+                i = int(g.integers(0, len(ref)))
+                ref[i] = ref[-1]
+                ref.pop()
+                v.delete(i)
             else:
                 b = int(g.integers(1, 128))
-                ref[next_dst] = b
-                v.insert(next_dst, b)
-                next_dst += 1
+                ref.append(b)
+                assert v.insert(b) == len(ref) - 1
             v.check_invariants()
-            assert v.degree == len(ref)
-            assert v.total_weight == sum(ref.values())
+            assert weights(v) == ref
+            assert v.total_weight == sum(ref)
         if ref:
-            dsts = sorted(ref)
-            probs = np.array([ref[d] for d in dsts], dtype=np.float64)
-            draws = v.sample_dst(rng(seed + 200), 40_000)
-            remap = {d: i for i, d in enumerate(dsts)}
-            mapped = np.array([remap[int(x)] for x in draws])
-            assert_distribution(mapped, probs / probs.sum())
+            probs = np.array(ref, dtype=np.float64)
+            assert_distribution(v.sample(rng(seed + 200), 40_000), probs / probs.sum())
 
     @given(st.lists(st.integers(min_value=1, max_value=2**12), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_build_invariants_hypothesis(self, biases):
-        v = make_vertex(biases)
+        v = BingoVertex(biases)
         v.check_invariants()
         assert v.total_weight == sum(biases)
 
@@ -204,7 +225,7 @@ class TestFloatBias:
     def test_paper_fig7_structure(self):
         # Fig. 7: λ=10 over (0.554, 0.726, 0.320) -> int groups 2^0={0,1},
         # 2^1={1,2}, 2^2={1,0 from 5.54,7.26}.. verify weights via Eq. 4.
-        v = BingoVertex([1, 4, 5], [0.554, 0.726, 0.320],
+        v = BingoVertex([0.554, 0.726, 0.320],
                         float_bias=True, lam=10.0, adaptive=False)
         # int parts: 5, 7, 3
         np.testing.assert_array_equal(v.int_bias_view(), [5, 7, 3])
@@ -217,43 +238,62 @@ class TestFloatBias:
 
     def test_float_distribution(self):
         raw = np.array([0.554, 0.726, 0.320])
-        v = BingoVertex([1, 4, 5], raw, float_bias=True, lam=10.0)
+        v = BingoVertex(raw, float_bias=True, lam=10.0)
         draws = v.sample(rng(6), 80_000)
         assert_distribution(draws, raw / raw.sum())
 
     def test_auto_lambda_keeps_decimal_mass_low(self):
         raw = np.random.default_rng(7).random(30) * 2 + 0.01
-        v = make_vertex(raw, float_bias=True)
+        v = BingoVertex(raw, float_bias=True)
         dec = v.group(DECIMAL_KEY)
         dec_w = 0.0 if dec is None else dec.weight()
         assert dec_w / v.total_weight < 1.0 / v.degree
 
     def test_float_stream_ops(self):
         g = rng(8)
-        ref = {}
-        v = BingoVertex([], [], float_bias=True, lam=100.0)
-        for i in range(60):
+        ref = []
+        v = BingoVertex([], float_bias=True, lam=100.0)
+        for _ in range(60):
             if ref and g.random() < 0.4:
-                dst = int(g.choice(sorted(ref)))
-                del ref[dst]
-                v.delete(dst)
+                i = int(g.integers(0, len(ref)))
+                ref[i] = ref[-1]
+                ref.pop()
+                v.delete(i)
             else:
                 b = float(g.random() * 3 + 0.05)
-                ref[i + 1000] = b
-                v.insert(i + 1000, b)
+                ref.append(b)
+                v.insert(b)
             v.check_invariants()
+        np.testing.assert_allclose(weights(v), np.array(ref) * 100.0, rtol=1e-12)
         if ref:
-            dsts = sorted(ref)
-            probs = np.array([ref[d] for d in dsts])
-            draws = v.sample_dst(rng(9), 60_000)
-            remap = {d: i for i, d in enumerate(dsts)}
-            mapped = np.array([remap[int(x)] for x in draws])
-            assert_distribution(mapped, probs / probs.sum())
+            probs = np.array(ref)
+            assert_distribution(v.sample(rng(9), 60_000), probs / probs.sum())
 
     def test_integer_vertex_rejects_float_bias(self):
-        v = BingoVertex([1], [2])
+        v = BingoVertex([2])
         with pytest.raises(ValueError):
-            v.insert(2, 1.5)
+            v.insert(1.5)
+
+    def test_empty_vertex_takes_lambda_from_first_bias(self):
+        v = BingoVertex([], float_bias=True)
+        v.insert(1e9)  # at λ = 1e10 this overflowed int64
+        assert v.lam == 1.0
+        v.insert(0.25)
+        v.check_invariants()
+        v.delete(0)
+        v.delete(0)
+        v.insert(0.05)  # emptied again: λ is re-chosen
+        assert v.lam == 100.0
+
+    @pytest.mark.parametrize("float_bias", [False, True], ids=["int", "float"])
+    def test_int64_overflow_rejected(self, float_bias):
+        v = BingoVertex([2], float_bias=float_bias, lam=10.0)
+        with pytest.raises(ValueError):
+            v.insert(2.0**63)
+        v.check_invariants()
+        assert v.degree == 1
+        with pytest.raises(ValueError):
+            BingoVertex([2.0**63], float_bias=float_bias, lam=10.0)
 
 
 class TestAdaptiveRepresentation:
@@ -261,7 +301,7 @@ class TestAdaptiveRepresentation:
         # 8 neighbors; bit 0 set for 5/8 (62.5% -> dense), a unique top
         # bit (one-element), and a small high-bit population (sparse-ish).
         biases = [1, 3, 5, 7, 9, 2, 4, 16]
-        v = make_vertex(biases)
+        v = BingoVertex(biases)
         kinds = v.group_kinds()
         assert kinds[0] == KIND_DENSE       # 5/8 = 62.5%
         assert kinds[4] == KIND_ONE          # only bias 16
@@ -270,13 +310,13 @@ class TestAdaptiveRepresentation:
     def test_sparse_classification(self):
         # degree 30, exactly 2 members with bit 5 -> 6.7% < beta.
         biases = [1] * 28 + [33, 32]
-        v = make_vertex(biases)
+        v = BingoVertex(biases)
         assert v.group_kinds()[5] == KIND_SPARSE
 
     def test_conversion_counters_populate(self):
-        v = make_vertex([3] * 10)
-        for i in range(20):
-            v.insert(1000 + i, 16)
+        v = BingoVertex([3] * 10)
+        for _ in range(20):
+            v.insert(16)
         conv = +v.conversions
         assert sum(conv.values()) > 0
 
@@ -284,13 +324,13 @@ class TestAdaptiveRepresentation:
         # Fig. 11's claim at vertex granularity: GA <= BS memory.
         g = rng(10)
         biases = g.integers(1, 2**10, 400)
-        bs = make_vertex(biases, adaptive=False)
-        ga = make_vertex(biases, adaptive=True)
-        assert ga.structure_nbytes < bs.structure_nbytes
+        bs = BingoVertex(biases, adaptive=False)
+        ga = BingoVertex(biases, adaptive=True)
+        assert ga.nbytes < bs.nbytes
 
     def test_adaptive_distribution_matches(self):
         g = rng(11)
         biases = g.integers(1, 512, 64)
-        ga = make_vertex(biases, adaptive=True)
+        ga = BingoVertex(biases, adaptive=True)
         draws = ga.sample(rng(12), 80_000)
         assert_distribution(draws, biases / biases.sum())

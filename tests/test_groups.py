@@ -147,7 +147,7 @@ class TestOneElementGroup:
 class TestDenseGroup:
     def _vertex(self):
         # Biases: bit0 set for 5 of 8 neighbors (62.5% > alpha).
-        return BingoVertex(np.arange(8), [1, 3, 5, 7, 9, 2, 4, 8], adaptive=True)
+        return BingoVertex([1, 3, 5, 7, 9, 2, 4, 8], adaptive=True)
 
     def test_counter_only(self):
         g = DenseGroup(0, [0, 1, 2, 3, 4])

@@ -7,14 +7,14 @@ import pytest
 from repro.core import (
     AliasSampler,
     AliasTable,
-    BingoSampler,
+    BingoVertex,
     ITSampler,
     RejectionSampler,
     ReservoirSampler,
 )
 from tests.util import assert_distribution, rng
 
-ALL_SAMPLERS = [AliasSampler, ITSampler, RejectionSampler, ReservoirSampler, BingoSampler]
+ALL_SAMPLERS = [AliasSampler, ITSampler, RejectionSampler, ReservoirSampler, BingoVertex]
 IDS = [c.name for c in ALL_SAMPLERS]
 
 N_DRAWS = 60_000

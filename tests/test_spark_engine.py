@@ -121,6 +121,18 @@ class TestDistributedUpdates:
             if pid != touched:
                 assert eng._state[pid] is blob
 
+    def test_vertices_follow_deletes(self, spark):
+        edges = pd.DataFrame(
+            {"src": [0, 0, 1, 2], "dst": [1, 2, 2, 0], "bias": [1, 1, 1, 1]}
+        )
+        batch = pd.DataFrame({"op": [-1], "src": [1], "dst": [2], "bias": [0]})
+        eng = SparkBingoEngine(spark, edges, n_parts=2)
+        local = BingoStore(edges)
+        eng.apply_updates(batch)
+        local.apply_batch(batch)
+        np.testing.assert_array_equal(eng.vertices(), [0, 2])
+        np.testing.assert_array_equal(eng.vertices(), local.vertices())
+
     def test_distribution_after_updates_matches_local(self, spark, small_edges):
         plan = make_update_plan(small_edges, batch_size=60, n_batches=2,
                                 mode="mixed", seed=32)

@@ -25,5 +25,10 @@ def assert_distribution(draws, expected_probs, *, z: float = 4.5) -> None:
     )
 
 
+def weights(sampler) -> list:
+    """A ``VertexSampler``'s weight at every index, in index order."""
+    return [sampler.weight_of(i) for i in range(sampler.degree)]
+
+
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
