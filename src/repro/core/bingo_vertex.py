@@ -17,7 +17,11 @@ row (``graphs.dynamic_graph``). It implements:
   ``replace_index``;
 - adaptive group representations (§5.1) with on-the-fly reclassification
   and conversion counters (the raw data behind the paper's Table 4);
-- floating-point biases via the λ amortization factor (§4.3).
+- floating-point biases via the λ amortization factor (§4.3), with one
+  bias path: λ comes from the biases (``bits.choose_lambda``), and is 1
+  for whole numbers, where no decimal group exists — the integer scheme
+  is the float scheme at λ = 1. An empty vertex re-chooses λ from its
+  first insert; a non-empty one keeps its λ.
 
 With ``adaptive=False`` every group uses the regular representation —
 the paper's "BS" baseline from Figures 11/13.
@@ -50,33 +54,16 @@ class BingoVertex(VertexSampler):
 
     name = "bingo"
 
-    def __init__(
-        self,
-        biases,
-        *,
-        adaptive: bool = True,
-        float_bias: bool = False,
-        lam: float | None = None,
-    ) -> None:
-        raw = np.asarray(biases, dtype=np.float64 if float_bias else None)
-        if (raw <= 0).any():
+    def __init__(self, biases, *, adaptive: bool = True) -> None:
+        raw = np.asarray(biases, dtype=np.float64)
+        if not (raw > 0).all():  # also rejects NaN
             raise ValueError("biases must be positive")
         self.adaptive = adaptive
-        self.float_bias = float_bias
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
-        # An empty float vertex picks λ from its first inserted bias.
-        self._fixed_lam = lam
-        if float_bias:
-            self.lam = lam if lam is not None else bits.choose_lambda(raw)
-            ints, fracs = bits.float_split(raw, self.lam)
-        else:
-            self.lam = 1.0
-            if (raw >= bits.INT64_LIMIT).any() or (raw % 1).any():
-                raise ValueError("integer-bias vertex needs integers below 2**63")
-            ints = raw.astype(np.int64)
-            fracs = np.zeros(len(raw), dtype=np.float64)
+        self.lam = bits.choose_lambda(raw)
+        ints, fracs = bits.float_split(raw, self.lam)
         self._ints = DynArray.from_values(ints, dtype=np.int64)
         self._fracs = DynArray.from_values(fracs, dtype=np.float64)
 
@@ -209,17 +196,11 @@ class BingoVertex(VertexSampler):
 
     def _split_bias(self, bias) -> tuple[int, float]:
         """(integer part, decimal part) of the λ-scaled bias."""
-        if self.float_bias:
-            scaled = float(bias) * self.lam
-            ip = int(np.floor(scaled))
-            frac = scaled - ip
-        else:
-            ip, frac = int(bias), 0.0
-            if ip != bias:
-                raise ValueError("integer-bias vertex got a non-integer bias")
+        scaled = float(bias) * self.lam
+        ip = int(np.floor(scaled))
         if ip >= bits.INT64_LIMIT:
             raise ValueError(f"bias {bias} at λ={self.lam} overflows int64")
-        return ip, frac
+        return ip, scaled - ip
 
     def _group_insert(self, k: int, idx: int) -> None:
         g = self._groups.get(k)
@@ -263,9 +244,9 @@ class BingoVertex(VertexSampler):
 
     def _insert_edge(self, bias) -> int:
         """Intra-group part of insertion; caller must ``_finalize_update``."""
-        if bias <= 0:
+        if not bias > 0:  # also rejects NaN
             raise ValueError("bias must be positive")
-        if self.float_bias and self._fixed_lam is None and self.degree == 0:
+        if self.degree == 0:
             self.lam = bits.choose_lambda([bias])  # free: every group is empty
         ip, frac = self._split_bias(bias)
         idx = self._ints.append(ip)
@@ -325,16 +306,14 @@ class BingoVertex(VertexSampler):
     @property
     def nbytes(self) -> int:
         """Sampling-structure bytes: groups + inverted indices + inter table
-        + the λ-split arrays (float mode only adds the fraction array)."""
+        + the λ-split arrays (the fraction array only while a decimal group
+        exists)."""
         n = sum(g.nbytes for g in self._groups.values())
         if self._decimal is not None:
-            n += self._decimal.nbytes
+            n += self._decimal.nbytes + self._fracs.nbytes
         if self._inter is not None:
             n += self._inter.nbytes + 8 * len(self._inter_keys)
-        n += self._ints.nbytes
-        if self.float_bias:
-            n += self._fracs.nbytes
-        return n
+        return n + self._ints.nbytes
 
     # -- invariants (tests) --------------------------------------------------
 

@@ -12,6 +12,10 @@ import numpy as np
 #: Integer parts must stay below this to fit the int64 bias arrays.
 INT64_LIMIT = 1 << 63
 
+#: The λ search of ``choose_lambda``: factor per step and the last λ tried.
+_LAMBDA_BASE = 10.0
+_MAX_LAMBDA = 1e9
+
 
 def num_bits(max_bias: int) -> int:
     """K — the number of radix groups needed for biases up to ``max_bias``."""
@@ -57,12 +61,13 @@ def float_split(biases, lam: float) -> tuple[np.ndarray, np.ndarray]:
     ``integer_parts + decimal_parts == biases * lam`` elementwise.
     """
     scaled = np.asarray(biases, dtype=np.float64) * lam
-    if (scaled < 0).any():
-        raise ValueError("biases must be non-negative")
-    if (scaled >= INT64_LIMIT).any():
-        raise ValueError(f"a bias at λ={lam} overflows int64")
-    ints = np.floor(scaled).astype(np.int64)
-    return ints, scaled - ints
+    ints = np.floor(scaled)
+    if len(scaled):
+        if scaled.min() < 0:
+            raise ValueError("biases must be non-negative")
+        if ints.max() >= INT64_LIMIT:
+            raise ValueError(f"a bias at λ={lam} overflows int64")
+    return ints.astype(np.int64), scaled - ints
 
 
 def decimal_mass_ratio(biases, lam: float) -> float:
@@ -74,24 +79,23 @@ def decimal_mass_ratio(biases, lam: float) -> float:
     return float(fracs.sum()) / total
 
 
-def choose_lambda(biases, *, target_ratio: float | None = None, base: float = 10.0,
-                  max_lambda: float = 1e9) -> float:
+def choose_lambda(biases) -> float:
     """Pick λ so the decimal group's mass ratio drops below 1/d (§4.4).
 
-    The paper "empirically determines" λ; we grow it geometrically (×base,
-    the paper's running example uses λ=10) until
-    ``W_D/(W_I+W_D) < target_ratio`` (default 1/d), which keeps the
-    hierarchical sampling expected O(1).
+    Whole-number biases (or none) take λ = 1, where there is no decimal
+    group at all: the integer scheme is the float scheme at λ = 1. Other
+    neighbourhoods grow λ ×10 (the paper's running example uses λ = 10;
+    the paper "empirically determines" it) up to 1e9, until
+    ``W_D/(W_I+W_D) < 1/d``, which keeps hierarchical sampling expected
+    O(1).
     """
     b = np.asarray(biases, dtype=np.float64)
-    if len(b) == 0:
-        return 1.0  # nothing to scale; an empty vertex re-chooses on insert
-    d = len(b)
-    if target_ratio is None:
-        target_ratio = 1.0 / d
+    if not (b % 1).any():
+        return 1.0
+    target = 1.0 / len(b)
     lam = 1.0
-    while lam <= max_lambda:
-        if decimal_mass_ratio(b, lam) < target_ratio:
+    while lam <= _MAX_LAMBDA:
+        if decimal_mass_ratio(b, lam) < target:
             return lam
-        lam *= base
+        lam *= _LAMBDA_BASE
     return lam

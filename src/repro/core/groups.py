@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynarray import DynArray
+from .rejection import rejection_draw
 
 ALPHA = 40.0  # dense threshold, percent (paper §5.1)
 BETA = 10.0   # sparse threshold, percent (paper §5.1)
@@ -360,18 +361,8 @@ class DecimalGroup:
         self.inv[new] = pos
 
     def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        m = self.members.view()
-        f = self.fracs.view()
-        out = np.empty(size, dtype=np.int64)
-        pending = np.arange(size)
-        for _ in range(_MAX_REJECT_ROUNDS):
-            if len(pending) == 0:
-                return out
-            pos = (rng.random(len(pending)) * len(m)).astype(np.int64)
-            accept = rng.random(len(pending)) * self._max < f[pos]
-            out[pending[accept]] = m[pos[accept]]
-            pending = pending[~accept]
-        raise RuntimeError("decimal-group rejection failed to converge")
+        m, f = self.members.view(), self.fracs.view()
+        return m[rejection_draw(rng, f, self._max, size)]
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
         m = self.members.view()

@@ -35,26 +35,29 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
     / [dst] lists. Raises on deleting an edge that is absent at that
     point of the stream, mirroring a real engine's integrity check.
     """
-    state: dict = {}  # (src, dst) -> (present_now, bias)
+    # (src, dst) -> (present before the batch, present now, bias); the
+    # store is unchanged until the batch is applied, so one probe per edge.
+    state: dict = {}
     for op, src, dst, bias in zip(batch["op"], batch["src"], batch["dst"], batch["bias"]):
         key = (int(src), int(dst))
-        present, _ = state.get(key, (None, None))
-        if present is None:
-            present = has_edge(int(src), int(dst))
+        entry = state.get(key)
+        if entry is None:
+            was = present = has_edge(*key)
+        else:
+            was, present, _ = entry
         if op == OP_INSERT:
             if present:
                 raise KeyError(f"insert of existing edge {key}")
-            state[key] = (True, bias)
+            state[key] = (was, True, bias)
         elif op == OP_DELETE:
             if not present:
                 raise KeyError(f"delete of missing edge {key}")
-            state[key] = (False, None)
+            state[key] = (was, False, None)
         else:
             raise ValueError(f"unknown op {op}")
     inserts: dict = {}
     deletes: dict = {}
-    for (src, dst), (present, bias) in state.items():
-        was = has_edge(src, dst)
+    for (src, dst), (was, present, bias) in state.items():
         if present and not was:
             inserts.setdefault(src, []).append((dst, bias))
         elif not present and was:
@@ -73,11 +76,10 @@ class BingoStore:
 
     name = "bingo"
 
-    def __init__(self, edges: pd.DataFrame, *, float_bias: bool = False) -> None:
-        self.float_bias = float_bias
+    def __init__(self, edges: pd.DataFrame) -> None:
         self.adj = dynamic_graph.Adjacency.from_edges(edges)
         self._v: dict[int, BingoVertex] = {
-            u: BingoVertex(row.bias.view(), float_bias=float_bias)
+            u: BingoVertex(row.bias.view())
             for u, row in self.adj.rows.items()
         }
 
@@ -133,7 +135,7 @@ class BingoStore:
     def _sampler(self, u: int) -> BingoVertex:
         v = self._v.get(u)
         if v is None:
-            v = self._v[u] = BingoVertex([], float_bias=self.float_bias)
+            v = self._v[u] = BingoVertex([])
         return v
 
     def apply_stream(self, batch: pd.DataFrame) -> None:

@@ -86,18 +86,15 @@ def make_update_plan(
     del_pick = g.choice(len(initial), size=n_del, replace=False)
     del_edges = initial.iloc[del_pick].reset_index(drop=True)
 
-    stream = pd.DataFrame(
-        {
-            "op": ops,
-            "src": np.int64(0),
-            "dst": np.int64(0),
-            "bias": np.int64(0),
-        }
-    )
+    # Each column keeps its source column's dtype, so float biases stay
+    # float.
     ins_rows = ops == OP_INSERT
+    stream = pd.DataFrame({"op": ops})
     for col in ("src", "dst", "bias"):
-        stream.loc[ins_rows, col] = ins_edges[col].to_numpy()
-        stream.loc[~ins_rows, col] = del_edges[col].to_numpy()
+        values = np.empty(total, dtype=edges[col].dtype)
+        values[ins_rows] = ins_edges[col].to_numpy()
+        values[~ins_rows] = del_edges[col].to_numpy()
+        stream[col] = values
 
     batches = [
         stream.iloc[i * batch_size : (i + 1) * batch_size].reset_index(drop=True)

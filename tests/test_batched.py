@@ -1,5 +1,7 @@
 """Parallel batched updates (paper §5.2): the two-phase delete-and-swap
 kernel and the per-vertex insert→delete→rebuild batch path."""
+from collections import Counter
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -123,12 +125,12 @@ class TestBatchedVertexOps:
         assert_distribution(v.sample(rng(5), 60_000), probs)
 
     def test_float_vertex_batch(self):
-        v = BingoVertex([0.5, 1.5, 2.5], float_bias=True, lam=100.0)
+        v = BingoVertex([0.5, 1.5, 2.5])
         row = row_of([1, 2, 3], [0.5, 1.5, 2.5])
         apply_vertex_batch(v, [(4, 0.25)], [2], row)
         v.check_invariants()
         assert sorted(row.dst.view()) == [1, 3, 4]
-        np.testing.assert_array_equal(weights(v), row.bias.view() * 100.0)
+        np.testing.assert_array_equal(weights(v), row.bias.view() * v.lam)
 
 
 class TestNetEffects:
@@ -164,6 +166,25 @@ class TestNetEffects:
         with pytest.raises(KeyError):
             resolve_net_effects(lambda u, v: False, batch)
 
+    def test_one_probe_per_edge(self):
+        batch = pd.DataFrame({
+            "op": [1, -1, 1, -1, 1, -1],
+            "src": [0, 0, 0, 1, 2, 2],
+            "dst": [5, 5, 5, 6, 7, 8],
+            "bias": [2, 0, 3, 0, 1, 0],
+        })
+        present = {(1, 6), (2, 8)}
+        probes = Counter()
+
+        def has_edge(u, v):
+            probes[(u, v)] += 1
+            return (u, v) in present
+
+        ins, dels = resolve_net_effects(has_edge, batch)
+        assert probes == {(0, 5): 1, (1, 6): 1, (2, 7): 1, (2, 8): 1}
+        assert ins == {0: [(5, 3)], 2: [(7, 1)]}
+        assert dels == {1: [6], 2: [8]}
+
     def test_delete_missing_rejected(self):
         batch = pd.DataFrame({"op": [-1], "src": [0], "dst": [5], "bias": [0]})
         with pytest.raises(KeyError):
@@ -196,13 +217,13 @@ class TestStoreEquivalence:
 
 
 class TestFloatStore:
-    """``BingoStore(float_bias=True)`` under updates (§4.3 λ scaling)."""
+    """``BingoStore`` on float biases under updates (§4.3 λ scaling)."""
 
     EDGES = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 0], "bias": [0.5, 1.25, 0.3]})
 
     @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
     def test_new_source_takes_lambda_from_first_bias(self, path):
-        st = BingoStore(self.EDGES, float_bias=True)
+        st = BingoStore(self.EDGES)
         batch = pd.DataFrame(
             {"op": [1, 1], "src": [5, 5], "dst": [0, 1], "bias": [1e9, 2.5e8]}
         )
@@ -216,7 +237,7 @@ class TestFloatStore:
 
     @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
     def test_overflowing_bias_rejected(self, path):
-        st = BingoStore(self.EDGES, float_bias=True)  # vertex 1 has λ = 10
+        st = BingoStore(self.EDGES)  # vertex 1 has λ = 10
         with pytest.raises(ValueError):
             getattr(st, path)(
                 pd.DataFrame({"op": [1], "src": [1], "dst": [7], "bias": [1e18]})

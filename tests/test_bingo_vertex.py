@@ -56,10 +56,20 @@ class TestConstruction:
     def test_nonpositive_bias_rejected(self):
         with pytest.raises(ValueError):
             BingoVertex([1, 0])
-
-    def test_noninteger_bias_rejected(self):
         with pytest.raises(ValueError):
-            BingoVertex([1, 2.5])
+            BingoVertex([1, np.nan])
+        v = BingoVertex([1])
+        with pytest.raises(ValueError):
+            v.insert(np.nan)
+        assert v.degree == 1
+
+    def test_noninteger_bias_accepted(self):
+        # Decimal mass 0.5/3.5 is already below 1/d at λ = 1.
+        v = BingoVertex([1, 2.5])
+        assert v.lam == 1.0
+        v.check_invariants()
+        assert weights(v) == [1.0, 2.5]
+        assert_distribution(v.sample(rng(3), 40_000), [1 / 3.5, 2.5 / 3.5])
 
     def test_nonadaptive_groups_all_regular(self):
         v = BingoVertex([5, 4, 3, 9, 16, 1], adaptive=False)
@@ -225,9 +235,8 @@ class TestFloatBias:
     def test_paper_fig7_structure(self):
         # Fig. 7: λ=10 over (0.554, 0.726, 0.320) -> int groups 2^0={0,1},
         # 2^1={1,2}, 2^2={1,0 from 5.54,7.26}.. verify weights via Eq. 4.
-        v = BingoVertex([0.554, 0.726, 0.320],
-                        float_bias=True, lam=10.0, adaptive=False)
-        # int parts: 5, 7, 3
+        v = BingoVertex([0.554, 0.726, 0.320], adaptive=False)
+        assert v.lam == 10.0  # chosen: decimal mass 1/16 < 1/3 (§4.4)
         np.testing.assert_array_equal(v.int_bias_view(), [5, 7, 3])
         np.testing.assert_array_equal(v.group(0).members_array(), [0, 1, 2])
         np.testing.assert_array_equal(v.group(1).members_array(), [1, 2])
@@ -238,13 +247,13 @@ class TestFloatBias:
 
     def test_float_distribution(self):
         raw = np.array([0.554, 0.726, 0.320])
-        v = BingoVertex(raw, float_bias=True, lam=10.0)
+        v = BingoVertex(raw)
         draws = v.sample(rng(6), 80_000)
         assert_distribution(draws, raw / raw.sum())
 
     def test_auto_lambda_keeps_decimal_mass_low(self):
         raw = np.random.default_rng(7).random(30) * 2 + 0.01
-        v = BingoVertex(raw, float_bias=True)
+        v = BingoVertex(raw)
         dec = v.group(DECIMAL_KEY)
         dec_w = 0.0 if dec is None else dec.weight()
         assert dec_w / v.total_weight < 1.0 / v.degree
@@ -252,7 +261,7 @@ class TestFloatBias:
     def test_float_stream_ops(self):
         g = rng(8)
         ref = []
-        v = BingoVertex([], float_bias=True, lam=100.0)
+        v = BingoVertex([])
         for _ in range(60):
             if ref and g.random() < 0.4:
                 i = int(g.integers(0, len(ref)))
@@ -264,18 +273,25 @@ class TestFloatBias:
                 ref.append(b)
                 v.insert(b)
             v.check_invariants()
-        np.testing.assert_allclose(weights(v), np.array(ref) * 100.0, rtol=1e-12)
+        np.testing.assert_allclose(weights(v), np.array(ref) * v.lam, rtol=1e-12)
         if ref:
             probs = np.array(ref)
             assert_distribution(v.sample(rng(9), 60_000), probs / probs.sum())
 
-    def test_integer_vertex_rejects_float_bias(self):
+    def test_integer_vertex_accepts_float_bias(self):
         v = BingoVertex([2])
-        with pytest.raises(ValueError):
-            v.insert(1.5)
+        v.insert(1.5)  # a non-empty vertex keeps λ = 1
+        assert v.lam == 1.0
+        v.check_invariants()
+        assert weights(v) == [2.0, 1.5]
+        assert_distribution(v.sample(rng(4), 40_000), [2 / 3.5, 1.5 / 3.5])
 
     def test_empty_vertex_takes_lambda_from_first_bias(self):
-        v = BingoVertex([], float_bias=True)
+        v = BingoVertex([4])
+        v.delete(0)
+        v.insert(0.05)  # an emptied integer vertex re-chooses λ too
+        assert v.lam == 100.0
+        v.delete(0)
         v.insert(1e9)  # at λ = 1e10 this overflowed int64
         assert v.lam == 1.0
         v.insert(0.25)
@@ -285,15 +301,15 @@ class TestFloatBias:
         v.insert(0.05)  # emptied again: λ is re-chosen
         assert v.lam == 100.0
 
-    @pytest.mark.parametrize("float_bias", [False, True], ids=["int", "float"])
-    def test_int64_overflow_rejected(self, float_bias):
-        v = BingoVertex([2], float_bias=float_bias, lam=10.0)
+    def test_int64_overflow_rejected(self):
+        v = BingoVertex([0.2])
+        assert v.lam == 10.0
         with pytest.raises(ValueError):
-            v.insert(2.0**63)
+            v.insert(1e18)  # fits int64 unscaled, not at λ = 10
         v.check_invariants()
         assert v.degree == 1
         with pytest.raises(ValueError):
-            BingoVertex([2.0**63], float_bias=float_bias, lam=10.0)
+            BingoVertex([2.0**63])
 
 
 class TestAdaptiveRepresentation:

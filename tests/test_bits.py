@@ -110,6 +110,12 @@ class TestFloatSplit:
         lam = bits.choose_lambda(b)
         assert bits.decimal_mass_ratio(b, lam) < 1.0 / len(b)
 
+    def test_choose_lambda_whole_numbers_take_one(self):
+        # The integer scheme is the float scheme at λ = 1.
+        assert bits.choose_lambda([5, 4, 3]) == 1.0
+        assert bits.choose_lambda([2.0, 7.0]) == 1.0
+        assert bits.choose_lambda([]) == 1.0
+
     def test_choose_lambda_grows_geometrically(self):
         # All-fractional biases need λ > 1.
         assert bits.choose_lambda([0.01, 0.02, 0.03]) >= 10.0

@@ -1,6 +1,7 @@
 """The engine surface every Table 3 framework shares: build from an edge
 frame, ingest rounds with ``apply_batch``, report ``edges()`` and
-``memory_bytes()``, and draw next hops with ``sample_next``."""
+``memory_bytes()``, and draw next hops with ``sample_next`` — on integer
+and on float biases (ids ending in ``-float``)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,14 +13,33 @@ from tests.util import rng
 
 
 @pytest.fixture(scope="module")
-def plan():
-    return make_update_plan(graph_edges("AM").head(1500), batch_size=50,
-                            n_batches=3, mode="mixed", seed=41)
+def plans():
+    """The AM-lite slice, and the same slice with float biases (§4.3)."""
+    edges = graph_edges("AM").head(1500)
+    graphs = {"int": edges, "float": edges.assign(bias=edges.bias / 7.0)}
+    return {
+        bias: make_update_plan(e, batch_size=50, n_batches=3, mode="mixed", seed=41)
+        for bias, e in graphs.items()
+    }
 
 
-@pytest.fixture(params=list(STORES.values()), ids=list(STORES))
-def store(request, plan):
-    st = request.param(plan.initial)
+CASES = [(name, bias) for bias in ("int", "float") for name in STORES]
+
+
+@pytest.fixture(params=CASES,
+                ids=[name if bias == "int" else f"{name}-float" for name, bias in CASES])
+def case(request):
+    return request.param
+
+
+@pytest.fixture
+def plan(case, plans):
+    return plans[case[1]]
+
+
+@pytest.fixture
+def store(case, plan):
+    st = STORES[case[0]](plan.initial)
     for batch in plan.batches:
         st.apply_batch(batch)
     return st

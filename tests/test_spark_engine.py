@@ -133,6 +133,24 @@ class TestDistributedUpdates:
         np.testing.assert_array_equal(eng.vertices(), [0, 2])
         np.testing.assert_array_equal(eng.vertices(), local.vertices())
 
+    def test_float_biases(self, spark):
+        edges = pd.DataFrame(
+            {"src": [0, 0, 1, 2], "dst": [1, 2, 0, 0], "bias": [0.3, 0.1, 0.25, 1.5]}
+        )
+        batch = pd.DataFrame(
+            {"op": [1, 1, -1], "src": [0, 3, 2], "dst": [3, 0, 0], "bias": [0.2, 0.75, 0.0]}
+        )
+        eng = SparkBingoEngine(spark, edges, n_parts=3)
+        eng.apply_updates(batch)
+        pd.testing.assert_frame_equal(
+            eng.edges().astype({"src": np.int64, "dst": np.int64}),
+            apply_updates(edges, [batch]),
+        )
+        seg = eng.walk(starts=np.zeros(4000, dtype=np.int64), length=1, seed=6)
+        first = seg[seg.step == 1].vertex.to_numpy()
+        # Eq. 2 over vertex 0's biases 0.3, 0.1, 0.2 (to 1, 2, 3).
+        assert_distribution(first - 1, [0.5, 1 / 6, 1 / 3])
+
     def test_distribution_after_updates_matches_local(self, spark, small_edges):
         plan = make_update_plan(small_edges, batch_size=60, n_batches=2,
                                 mode="mixed", seed=32)

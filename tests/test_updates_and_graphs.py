@@ -1,4 +1,6 @@
 """Update-stream generator (§6.1) and the Table 2 lite-graph suite."""
+import warnings
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -65,6 +67,16 @@ class TestUpdatePlan:
         b = make_update_plan(am_edges, batch_size=30, n_batches=3, mode="mixed", seed=9)
         for x, y in zip(a.batches, b.batches):
             pd.testing.assert_frame_equal(x, y)
+
+    def test_float_biases_kept(self, am_edges):
+        edges = am_edges.assign(bias=am_edges.bias / 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plan = make_update_plan(edges, batch_size=50, n_batches=4, mode="mixed", seed=11)
+        bias_of = dict(zip(zip(edges.src, edges.dst), edges.bias))
+        for b in plan.batches:
+            assert b.bias.dtype == np.float64
+            assert all(bias_of[(s, d)] == w for s, d, w in zip(b.src, b.dst, b.bias))
 
     def test_too_many_updates_rejected(self, am_edges):
         with pytest.raises(ValueError):
