@@ -301,11 +301,16 @@ class TestFloatBias:
         v.insert(0.05)  # emptied again: λ is re-chosen
         assert v.lam == 100.0
 
-    def test_int64_overflow_rejected(self):
-        v = BingoVertex([0.2])
-        assert v.lam == 10.0
+    @pytest.mark.parametrize(
+        "initial, lam, too_big",
+        [([2], 1.0, 2.0**63), ([0.2], 10.0, 1e18)],  # 1e18 fits int64 unscaled, not at λ = 10
+        ids=["int", "float"],
+    )
+    def test_int64_overflow_rejected(self, initial, lam, too_big):
+        v = BingoVertex(initial)
+        assert v.lam == lam
         with pytest.raises(ValueError):
-            v.insert(1e18)  # fits int64 unscaled, not at λ = 10
+            v.insert(too_big)
         v.check_invariants()
         assert v.degree == 1
         with pytest.raises(ValueError):
