@@ -55,6 +55,7 @@ class BingoVertex(VertexSampler):
     name = "bingo"
 
     def __init__(self, biases, *, adaptive: bool = True) -> None:
+        bits.check_exact_floats(biases)
         raw = np.asarray(biases, dtype=np.float64)
         if not (raw > 0).all():  # also rejects NaN
             raise ValueError("biases must be positive")
@@ -244,6 +245,7 @@ class BingoVertex(VertexSampler):
 
     def _insert_edge(self, bias) -> int:
         """Intra-group part of insertion; caller must ``_finalize_update``."""
+        bias = bits.exact_float(bias)
         if not bias > 0:  # also rejects NaN
             raise ValueError("bias must be positive")
         if self.degree == 0:

@@ -16,6 +16,9 @@ INT64_LIMIT = 1 << 63
 _LAMBDA_BASE = 10.0
 _MAX_LAMBDA = 1e9
 
+#: float64 holds every integer of magnitude up to 2**53 exactly.
+_FLOAT64_EXACT = 1 << 53
+
 
 def num_bits(max_bias: int) -> int:
     """K — the number of radix groups needed for biases up to ``max_bias``."""
@@ -54,6 +57,25 @@ def group_members(biases, k: int) -> np.ndarray:
 # --- floating-point biases (§4.3) --------------------------------------------
 
 
+def exact_float(bias) -> float:
+    """``bias`` as a float64; an integer bias that float64 would round
+    raises ``ValueError``. Compares as Python ints: numpy compares an
+    int64 with a float64 in float64, where 2**53 + 1 equals 2**53."""
+    f = float(bias)
+    if isinstance(bias, (int, np.integer)) and int(f) != int(bias):
+        raise ValueError(f"integer bias {bias} has no exact float64")
+    return f
+
+
+def check_exact_floats(biases) -> None:
+    """``exact_float`` over a bias column: one vectorized compare, then
+    only the integers of magnitude above 2**53 are checked one by one."""
+    b = np.asarray(biases)
+    if b.dtype.kind in "iu":
+        for x in b[np.abs(b) > _FLOAT64_EXACT]:
+            exact_float(x)
+
+
 def float_split(biases, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale by the amortization factor λ and split into int + decimal parts.
 
@@ -85,9 +107,10 @@ def choose_lambda(biases) -> float:
     Whole-number biases (or none) take λ = 1, where there is no decimal
     group at all: the integer scheme is the float scheme at λ = 1. Other
     neighbourhoods grow λ ×10 (the paper's running example uses λ = 10;
-    the paper "empirically determines" it) up to 1e9, until
+    the paper "empirically determines" it) until
     ``W_D/(W_I+W_D) < 1/d``, which keeps hierarchical sampling expected
-    O(1).
+    O(1). A neighbourhood that misses the target at every λ up to the
+    1e9 cap gets the cap.
     """
     b = np.asarray(biases, dtype=np.float64)
     if not (b % 1).any():
@@ -98,4 +121,4 @@ def choose_lambda(biases) -> float:
         if decimal_mass_ratio(b, lam) < target:
             return lam
         lam *= _LAMBDA_BASE
-    return lam
+    return _MAX_LAMBDA

@@ -18,10 +18,13 @@ Adaptive representations (Eq. 9, α=40, β=10):
 - ``RegularGroup``  otherwise   — full member list + full-size inverted
   index array, the §4.2 baseline structure.
 
-All index-carrying groups support O(1) ``insert``/``delete`` (via the
-inverted index + delete-and-swap) and O(1) ``replace_index`` so the
-owning vertex can follow the index its adjacency row's swap-deletion
-moved.
+Regular, sparse and decimal groups support O(1) ``insert``/``delete``
+(via the inverted index + delete-and-swap); a one-element group cannot
+grow, so the owning vertex re-creates it. Every group has O(1)
+``replace_index`` so the owning vertex can follow the index its
+adjacency row's swap-deletion moved. ``BingoVertex.sample`` inlines the
+vectorized draw of regular, sparse and one-element groups; dense and
+decimal groups draw by rejection in their own ``sample``.
 """
 from __future__ import annotations
 
@@ -60,7 +63,27 @@ def classify(size: int, degree: int, *, alpha: float = ALPHA, beta: float = BETA
     return KIND_REGULAR
 
 
-class RegularGroup:
+class _ListedGroup:
+    """What regular and sparse groups share: a member list drawn
+    uniformly; they differ only in their inverted index."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def weight(self) -> float:
+        return float(self.size << self.k)
+
+    def sample_one(self, rng: np.random.Generator, vertex) -> int:
+        return int(self.members._buf[int(rng.random() * self.members._n)])
+
+    def members_array(self) -> np.ndarray:
+        return np.sort(self.members.view().copy())
+
+
+class RegularGroup(_ListedGroup):
     """Full intra-group neighbor-index list + full inverted index (§4.2)."""
 
     kind = KIND_REGULAR
@@ -73,13 +96,6 @@ class RegularGroup:
         self.inv = np.full(cap, -1, dtype=np.int64)
         self.inv[self.members.view()] = np.arange(len(self.members))
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def weight(self) -> float:
-        return float(self.size << self.k)
-
     def _ensure_inv(self, idx: int) -> None:
         if idx >= len(self.inv):
             cap = len(self.inv)
@@ -88,9 +104,6 @@ class RegularGroup:
             new = np.full(cap, -1, dtype=np.int64)
             new[: len(self.inv)] = self.inv
             self.inv = new
-
-    def contains(self, idx: int) -> bool:
-        return idx < len(self.inv) and self.inv[idx] >= 0
 
     def insert(self, idx: int) -> None:
         self._ensure_inv(idx)
@@ -115,22 +128,12 @@ class RegularGroup:
         self.inv[old] = -1
         self.inv[new] = pos
 
-    def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        m = self.members.view()
-        return m[(rng.random(size) * len(m)).astype(np.int64)]
-
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        return int(self.members._buf[int(rng.random() * self.members._n)])
-
-    def members_array(self) -> np.ndarray:
-        return np.sort(self.members.view().copy())
-
     @property
     def nbytes(self) -> int:
         return self.members.nbytes + self.inv.nbytes
 
 
-class SparseGroup:
+class SparseGroup(_ListedGroup):
     """Compacted member list + small inverted index (§5.1 sparse form)."""
 
     kind = KIND_SPARSE
@@ -140,16 +143,6 @@ class SparseGroup:
         self.k = k
         self.members = DynArray.from_values(members, dtype=np.int64)
         self.inv = {int(v): p for p, v in enumerate(self.members.view())}
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def weight(self) -> float:
-        return float(self.size << self.k)
-
-    def contains(self, idx: int) -> bool:
-        return idx in self.inv
 
     def insert(self, idx: int) -> None:
         pos = self.members.append(idx)
@@ -165,16 +158,6 @@ class SparseGroup:
         pos = self.inv.pop(old)
         self.members[pos] = new
         self.inv[new] = pos
-
-    def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        m = self.members.view()
-        return m[(rng.random(size) * len(m)).astype(np.int64)]
-
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        return int(self.members._buf[int(rng.random() * self.members._n)])
-
-    def members_array(self) -> np.ndarray:
-        return np.sort(self.members.view().copy())
 
     @property
     def nbytes(self) -> int:
@@ -201,14 +184,6 @@ class OneElementGroup:
     def weight(self) -> float:
         return float(1 << self.k)
 
-    def contains(self, idx: int) -> bool:
-        return idx == self.idx
-
-    def insert(self, idx: int) -> None:
-        # Growth beyond one element forces a representation change; the
-        # owning vertex converts the group before re-issuing the insert.
-        raise OverflowError("one-element group cannot grow; convert first")
-
     def delete(self, idx: int) -> None:
         if idx != self.idx:
             raise KeyError(f"index {idx} not in one-element group 2^{self.k}")
@@ -218,9 +193,6 @@ class OneElementGroup:
         if old != self.idx:
             raise KeyError(f"index {old} not in one-element group 2^{self.k}")
         self.idx = new
-
-    def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        return np.full(size, self.idx, dtype=np.int64)
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
         return self.idx
@@ -255,9 +227,6 @@ class DenseGroup:
 
     def weight(self) -> float:
         return float(self._count << self.k)
-
-    def contains(self, idx: int) -> bool:  # pragma: no cover - not used for dense
-        raise NotImplementedError("dense groups do not track membership")
 
     def insert(self, idx: int) -> None:
         self._count += 1
@@ -295,9 +264,6 @@ class DenseGroup:
                 return cand
         raise RuntimeError("dense-group rejection failed to converge")
 
-    def members_array(self) -> np.ndarray:  # pragma: no cover - via vertex scan
-        raise NotImplementedError("dense groups must be scanned via the vertex")
-
     @property
     def nbytes(self) -> int:
         return 8
@@ -331,9 +297,6 @@ class DecimalGroup:
 
     def weight(self) -> float:
         return self._total
-
-    def contains(self, idx: int) -> bool:
-        return idx in self.inv
 
     def insert(self, idx: int, frac: float) -> None:
         pos = self.members.append(idx)

@@ -4,7 +4,7 @@ the Hornet-style substrate of §9.1).
 
 The store is the engine-facing surface shared by BINGO and the SOTA
 simulators: vectorized next-hop sampling for a batch of walkers,
-streaming and batched update ingestion, adjacency queries for
+batched update ingestion (§5.2), adjacency queries for
 second-order (node2vec) rejection tests, and memory accounting.
 """
 from __future__ import annotations
@@ -132,37 +132,14 @@ class BingoStore:
 
     # -- updates -------------------------------------------------------------
 
-    def _sampler(self, u: int) -> BingoVertex:
-        v = self._v.get(u)
-        if v is None:
-            v = self._v[u] = BingoVertex([])
-        return v
-
-    def apply_stream(self, batch: pd.DataFrame) -> None:
-        """Streaming path (§4.2): one structure update per event, in order."""
-        for op, src, dst, bias in zip(
-            batch["op"], batch["src"], batch["dst"], batch["bias"]
-        ):
-            u, dst = int(src), int(dst)
-            if op == OP_INSERT:
-                row = self.adj.row(u)
-                if dst in row.pos:
-                    raise KeyError(f"insert of existing edge ({u},{dst})")
-                self._sampler(u).insert(bias)  # validates before the row changes
-                row.append(dst, bias)
-            elif op == OP_DELETE:
-                self._v[u].delete(self.adj.delete(u, dst))
-            else:
-                raise ValueError(f"unknown op {op}")
-
     def apply_batch(self, batch: pd.DataFrame) -> None:
         """Batched path (§5.2): group by vertex, insert→delete→one rebuild."""
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
         for u in set(inserts) | set(deletes):
-            apply_vertex_batch(
-                self._sampler(u), inserts.get(u, []), deletes.get(u, []),
-                self.adj.row(u),
-            )
+            v = self._v.get(u)
+            if v is None:
+                v = self._v[u] = BingoVertex([])
+            apply_vertex_batch(v, inserts.get(u, []), deletes.get(u, []), self.adj.row(u))
 
     # -- accounting ----------------------------------------------------------
 

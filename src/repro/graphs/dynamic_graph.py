@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..core.bits import check_exact_floats, exact_float
 from ..core.dynarray import DynArray
 from .updates import OP_DELETE, OP_INSERT
 
@@ -59,8 +60,9 @@ class _VertexAdj:
         """Add edge to ``dst``; returns its index (the old degree)."""
         if dst in self.pos:
             raise KeyError(f"edge to {dst} already present")
+        bias = exact_float(bias)
         idx = self.dst.append(dst)
-        self.bias.append(float(bias))
+        self.bias.append(bias)
         self.pos[dst] = idx
         return idx
 
@@ -83,7 +85,9 @@ class Adjacency:
 
     @classmethod
     def from_edges(cls, edges: pd.DataFrame) -> "Adjacency":
-        """Build from an edge frame; duplicate (src, dst) pairs raise."""
+        """Build from an edge frame; duplicate (src, dst) pairs and
+        integer biases that float64 would round raise."""
+        check_exact_floats(edges["bias"])
         adj = cls()
         for u, dsts, biases in split_by_src(edges):
             adj.rows[u] = _VertexAdj(dsts, biases)

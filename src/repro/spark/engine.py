@@ -12,7 +12,8 @@ maps device → Spark partition:
   path), producing the next state DataFrame;
 - walks advance in rounds: an ``applyInPandas`` task steps every walker
   whose current vertex it owns *for as long as the walk stays local*,
-  then emits the walker for the next round (walker forwarding).
+  emits one row per move, and forwards each walker that crossed into
+  another partition to the next round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -33,6 +34,14 @@ from ..graphs.partition import partition_of
 
 _STATE_SCHEMA = "pid long, blob binary, verts array<long>"
 _SEGMENT_SCHEMA = "walker long, step long, vertex long, alive boolean"
+
+
+def _rows(wid, step, cur, idx, alive: bool) -> pd.DataFrame:
+    """Segment-schema rows for the walkers at positions ``idx``."""
+    return pd.DataFrame(
+        {"walker": wid[idx], "step": step[idx], "vertex": cur[idx],
+         "alive": np.full(len(idx), alive)}
+    )
 
 
 def _state_row(pid, store: BingoStore) -> pd.DataFrame:
@@ -138,11 +147,15 @@ class SparkBingoEngine:
     ) -> pd.DataFrame:
         """First-order walks with walker forwarding.
 
-        Returns a segment frame (walker, step, vertex) covering every
-        visited position; reconstruct paths by pivoting on (walker, step).
-        Each Spark round advances walkers until they leave their current
-        partition, die at a dead end, hit the stop coin, or finish. Every
-        (round, partition) task draws from its own RNG stream.
+        Returns a segment frame (walker, step, vertex), one row per
+        visited position, sorted by (walker, step); reconstruct paths by
+        pivoting on (walker, step). Each Spark round advances walkers
+        until they leave their current partition, die at a dead end, hit
+        the stop coin, or finish. A task returns one ``alive=False`` row
+        per move it made and one ``alive=True`` row per walker it
+        forwards to another partition; the driver keeps the first kind
+        and re-dispatches the second. Every (round, partition) task draws
+        from its own RNG stream, in walker-id order.
         """
         starts = np.asarray(starts, dtype=np.int64)
         walkers = pd.DataFrame(
@@ -150,99 +163,66 @@ class SparkBingoEngine:
                 "walker": np.arange(len(starts), dtype=np.int64),
                 "step": np.zeros(len(starts), dtype=np.int64),
                 "vertex": starts,
-                "alive": np.ones(len(starts), dtype=bool),
             }
         )
-        segments = [walkers[["walker", "step", "vertex"]]]
+        segments = [walkers]
         bc = self.spark.sparkContext.broadcast(self._state)
         n_parts = self.n_parts
 
         def advance(key, part):
             pid = int(key[0])
-            blob = bc.value.get(pid)
-            out_rows = []
-            cur = part["vertex"].to_numpy().copy()
-            step = part["step"].to_numpy().copy()
+            part = part.sort_values("walker")
             wid = part["walker"].to_numpy()
-            alive = np.ones(len(part), dtype=bool)
-            if blob is None:
-                return pd.DataFrame(
-                    {"walker": wid, "step": step, "vertex": cur,
-                     "alive": np.zeros(len(part), dtype=bool)}
-                )
+            step = part["step"].to_numpy().copy()
+            cur = part["vertex"].to_numpy().copy()
+            blob = bc.value.get(pid)
+            if blob is None:  # no out-edges here: every walker is done
+                return _rows(wid, step, cur, [], False)
             store = pickle.loads(blob)
             rng = np.random.default_rng((seed, int(part["round"].iloc[0]), pid))
-            local = np.ones(len(part), dtype=bool)
+            alive = np.ones(len(part), dtype=bool)
+            local = alive.copy()
+            moves = []
             while True:
-                act = alive & local & (step < length)
-                if not act.any():
+                idx = np.nonzero(alive & local & (step < length))[0]
+                if len(idx) == 0:
                     break
-                idx = np.nonzero(act)[0]
                 if stop_prob is not None:
                     keep = rng.random(len(idx)) >= stop_prob
                     alive[idx[~keep]] = False
                     idx = idx[keep]
-                    if len(idx) == 0:
-                        continue
                 nxt = store.sample_next(rng, cur[idx])
-                dead = nxt < 0
-                alive[idx[dead]] = False
-                live = idx[~dead]
-                cur[live] = nxt[~dead]
-                step[live] += 1
-                for j in live:
-                    out_rows.append((int(wid[j]), int(step[j]), int(cur[j])))
-                # Walkers that crossed partitions wait for the next round.
-                local[live] = (
-                    partition_of(cur[live], n_parts) == pid
-                )
-            seg = pd.DataFrame(out_rows, columns=["walker", "step", "vertex"])
-            tail = pd.DataFrame(
-                {"walker": wid, "step": step, "vertex": cur,
-                 "alive": alive & (step < length)}
+                moved = nxt >= 0
+                alive[idx[~moved]] = False  # dead end
+                idx = idx[moved]
+                cur[idx] = nxt[moved]
+                step[idx] += 1
+                moves.append(_rows(wid, step, cur, idx, False))
+                local[idx] = partition_of(cur[idx], n_parts) == pid
+            # A walker still alive short of ``length`` left the partition.
+            crossed = np.nonzero(alive & (step < length))[0]
+            return pd.concat(
+                [*moves, _rows(wid, step, cur, crossed, True)], ignore_index=True
             )
-            # Emitted segments carry alive=False so the driver only
-            # re-dispatches the per-walker tail rows.
-            seg["alive"] = False
-            return pd.concat([seg, tail], ignore_index=True)
 
         try:
             for rnd in range(length):
-                live = walkers[walkers["alive"]]
-                if live.empty:
+                if walkers.empty:
                     break
-                pdf = live.copy()
-                pdf["pid"] = partition_of(pdf["vertex"].to_numpy(), self.n_parts)
-                pdf["round"] = rnd
+                pdf = walkers.assign(
+                    pid=partition_of(walkers["vertex"].to_numpy(), n_parts),
+                    round=rnd,
+                )
                 res = (
-                    self.spark.createDataFrame(
-                        pdf[["walker", "step", "vertex", "alive", "pid", "round"]]
-                    )
+                    self.spark.createDataFrame(pdf)
                     .groupBy("pid")
                     .applyInPandas(advance, _SEGMENT_SCHEMA)
                     .toPandas()
                 )
-                # Tail rows: exactly one per dispatched walker — the row
-                # with that walker's maximal step.
-                # Sort alive last so a tail row (alive may be True) wins
-                # over a same-step segment row (alive always False).
-                tails = (
-                    res.sort_values(["walker", "step", "alive"])
-                    .groupby("walker", as_index=False)
-                    .last()
-                )
-                visited = res[res["step"] > 0][["walker", "step", "vertex"]]
-                segments.append(visited.drop_duplicates(["walker", "step"]))
-                done = walkers[~walkers["alive"]]
-                tails = tails[["walker", "step", "vertex", "alive"]]
-                tails.loc[tails["step"] >= length, "alive"] = False
-                walkers = pd.concat([done, tails], ignore_index=True)
+                segments.append(res.loc[~res["alive"], ["walker", "step", "vertex"]])
+                walkers = res.loc[res["alive"], ["walker", "step", "vertex"]]
         finally:
             bc.unpersist()
-        out = (
-            pd.concat(segments, ignore_index=True)
-            .drop_duplicates(["walker", "step"])
-            .sort_values(["walker", "step"])
-            .reset_index(drop=True)
+        return pd.concat(segments, ignore_index=True).sort_values(
+            ["walker", "step"], ignore_index=True
         )
-        return out

@@ -15,6 +15,15 @@ from repro.synth_data import graph_edges
 from tests.util import assert_distribution, rng, weights
 
 
+def per_event(st, batch):
+    """Apply ``batch`` as one ``apply_batch`` call per event, in order."""
+    for i in range(len(batch)):
+        st.apply_batch(batch.iloc[i : i + 1])
+
+
+APPLY = {"apply_batch": BingoStore.apply_batch, "per_event": per_event}
+
+
 class TestTwoPhasePlan:
     def test_empty(self):
         slots, fillers, nd = plan_two_phase_delete(5, [])
@@ -193,21 +202,21 @@ class TestNetEffects:
 
 @pytest.mark.parametrize("mode", ["insertion", "deletion", "mixed"])
 class TestStoreEquivalence:
-    """Batched path == streaming path == pandas ground truth, per §6.1
-    update workloads on a lite graph."""
+    """One whole-batch ``apply_batch`` == one ``apply_batch`` per event ==
+    pandas ground truth, per §6.1 update workloads on a lite graph."""
 
     def test_paths_agree(self, mode):
         edges = graph_edges("AM").head(4000)
         plan = make_update_plan(edges, batch_size=100, n_batches=3, mode=mode, seed=5)
-        st_s = BingoStore(plan.initial)
+        st_e = BingoStore(plan.initial)
         st_b = BingoStore(plan.initial)
         for b in plan.batches:
-            st_s.apply_stream(b)
+            per_event(st_e, b)
             st_b.apply_batch(b)
-        st_s.check_invariants()
+        st_e.check_invariants()
         st_b.check_invariants()
         truth = apply_updates(plan.initial, plan.batches)
-        for st in (st_s, st_b):
+        for st in (st_e, st_b):
             got = st.edges()
             pd.testing.assert_frame_equal(
                 got.astype({"src": np.int64, "dst": np.int64}),
@@ -221,13 +230,13 @@ class TestFloatStore:
 
     EDGES = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 0], "bias": [0.5, 1.25, 0.3]})
 
-    @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
+    @pytest.mark.parametrize("path", list(APPLY))
     def test_new_source_takes_lambda_from_first_bias(self, path):
         st = BingoStore(self.EDGES)
         batch = pd.DataFrame(
             {"op": [1, 1], "src": [5, 5], "dst": [0, 1], "bias": [1e9, 2.5e8]}
         )
-        getattr(st, path)(batch)
+        APPLY[path](st, batch)
         st.check_invariants()
         pd.testing.assert_frame_equal(
             st.edges(), apply_updates(self.EDGES, [batch]), check_dtype=False
@@ -235,12 +244,11 @@ class TestFloatStore:
         hops = st.sample_next(rng(1), np.full(40_000, 5))
         assert_distribution((hops == 1).astype(int), [0.8, 0.2])
 
-    @pytest.mark.parametrize("path", ["apply_batch", "apply_stream"])
+    @pytest.mark.parametrize("path", list(APPLY))
     def test_overflowing_bias_rejected(self, path):
         st = BingoStore(self.EDGES)  # vertex 1 has λ = 10
+        batch = pd.DataFrame({"op": [1], "src": [1], "dst": [7], "bias": [1e18]})
         with pytest.raises(ValueError):
-            getattr(st, path)(
-                pd.DataFrame({"op": [1], "src": [1], "dst": [7], "bias": [1e18]})
-            )
+            APPLY[path](st, batch)
         st.check_invariants()
-        assert not st.has_edge(1, 7)
+        pd.testing.assert_frame_equal(st.edges(), self.EDGES, check_dtype=False)

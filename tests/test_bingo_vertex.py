@@ -125,7 +125,7 @@ class TestStreamingInsert:
     def test_insert_duplicate_rejected(self):
         st = BingoStore(edges_df([(0, 5, 1)]))
         with pytest.raises(KeyError):
-            st.apply_stream(events([(1, 0, 5, 2)]))
+            st.apply_batch(events([(1, 0, 5, 2)]))
         with pytest.raises(KeyError):
             st.adj.insert(0, 5, 2)
         st.check_invariants()
@@ -165,8 +165,11 @@ class TestStreamingDelete:
     def test_delete_missing_raises(self):
         st = BingoStore(edges_df([(0, 1, 5)]))
         with pytest.raises(KeyError):
-            st.apply_stream(events([(-1, 0, 2, 0)]))
+            st.apply_batch(events([(-1, 0, 2, 0)]))
         st.check_invariants()
+        pd.testing.assert_frame_equal(
+            st.edges(), edges_df([(0, 1, 5)]), check_dtype=False
+        )
         with pytest.raises(IndexError):
             BingoVertex([5]).delete(1)
 
@@ -315,6 +318,47 @@ class TestFloatBias:
         assert v.degree == 1
         with pytest.raises(ValueError):
             BingoVertex([2.0**63])
+
+
+class TestIntegerBiasExactness:
+    """float64 holds every integer up to 2**53 exactly; a larger integer
+    bias it would round raises before the row or the sampler changes."""
+
+    BIG = 2**53 + 1
+
+    def test_vertex_rejects_rounded_bias(self):
+        with pytest.raises(ValueError):
+            BingoVertex([1, self.BIG])
+        with pytest.raises(ValueError):
+            BingoVertex(np.array([1, self.BIG], dtype=np.int64))
+        v = BingoVertex([3, 1])
+        with pytest.raises(ValueError):
+            v.insert(np.int64(self.BIG))
+        assert weights(v) == [3, 1]
+        v.check_invariants()
+
+    def test_store_build_rejects_rounded_bias(self):
+        with pytest.raises(ValueError):
+            BingoStore(edges_df([(0, 1, 1), (0, 2, self.BIG)]))
+
+    def test_batch_insert_rejects_rounded_bias(self):
+        st = BingoStore(edges_df([(0, 1, 3)]))
+        with pytest.raises(ValueError):
+            st.apply_batch(events([(1, 0, 2, self.BIG)]))
+        with pytest.raises(ValueError):
+            st.apply_batch(events([(1, 4, 2, self.BIG)]))  # a new source
+        st.check_invariants()
+        pd.testing.assert_frame_equal(
+            st.edges(), edges_df([(0, 1, 3)]), check_dtype=False
+        )
+
+    def test_two_to_the_53_accepted(self):
+        v = BingoVertex([2**53])
+        assert weights(v) == [2**53]
+        st = BingoStore(edges_df([(0, 1, 2**53)]))
+        st.apply_batch(events([(1, 0, 2, 2**53)]))
+        st.check_invariants()
+        assert st.edges().bias.tolist() == [2**53, 2**53]
 
 
 class TestAdaptiveRepresentation:

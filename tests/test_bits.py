@@ -120,6 +120,10 @@ class TestFloatSplit:
         # All-fractional biases need λ > 1.
         assert bits.choose_lambda([0.01, 0.02, 0.03]) >= 10.0
 
+    def test_choose_lambda_stops_at_cap(self):
+        # No λ up to 1e9 brings W_D/(W_I+W_D) below 1/d: the cap is returned.
+        assert bits.choose_lambda([1e-12, 3e-12]) == 1e9
+
     @given(st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_choose_lambda_property(self, biases):

@@ -139,3 +139,25 @@ class TestRebuildProtocol:
         np.testing.assert_allclose(p.sum(), 1.0)
         np.testing.assert_allclose(cdf[-1], 1.0)
         np.testing.assert_allclose(w, [3.0, 1.0])
+
+
+class TestIntegerBiasExactness:
+    """float64 holds every integer up to 2**53 exactly; a larger integer
+    bias it would round raises instead of being stored rounded."""
+
+    def test_rounded_bias_rejected(self, sota_cls):
+        with pytest.raises(ValueError):
+            sota_cls(edges_df([(0, 1, 1), (0, 2, 2**53 + 1)]))
+        st = sota_cls(edges_df([(0, 1, 3)]))
+        with pytest.raises(ValueError):
+            st.apply_batch(
+                pd.DataFrame({"op": [1], "src": [0], "dst": [2], "bias": [2**53 + 1]})
+            )
+        pd.testing.assert_frame_equal(
+            st.edges(), edges_df([(0, 1, 3)]), check_dtype=False
+        )
+
+    def test_two_to_the_53_accepted(self, sota_cls):
+        st = sota_cls(edges_df([(0, 1, 2**53)]))
+        assert st.edges().bias.tolist() == [2**53]
+        assert st.sample_next(rng(0), np.array([0]))[0] == 1

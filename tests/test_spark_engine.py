@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core import BingoStore
+from repro.graphs.partition import partition_of
 from repro.graphs.updates import apply_updates, make_update_plan
 from repro.spark.engine import SparkBingoEngine
 from repro.synth_data import graph_edges
@@ -85,6 +86,26 @@ class TestDistributedWalk:
             np.minimum(lengths.to_numpy(), 5),
             [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 32],
         )
+
+    @pytest.mark.parametrize("stop_prob", [None, 0.2])
+    def test_each_step_once_without_gaps(self, spark, stop_prob):
+        # A complete digraph on 12 vertices in 4 partitions: no dead ends,
+        # and most moves cross partitions, so each walk spans rounds.
+        src, dst = np.nonzero(~np.eye(12, dtype=bool))
+        edges = pd.DataFrame({"src": src, "dst": dst, "bias": 1 + (src + dst) % 5})
+        eng = SparkBingoEngine(spark, edges, n_parts=4)
+        seg = eng.walk(starts=np.arange(40) % 12, length=8, seed=9,
+                       stop_prob=stop_prob)
+        assert not seg.duplicated(["walker", "step"]).any()
+        per = seg.groupby("walker").step.agg(["min", "max", "count"])
+        assert per.index.tolist() == list(range(40))
+        assert (per["min"] == 0).all()
+        assert (per["count"] == per["max"] + 1).all()  # no step skipped
+        if stop_prob is None:
+            assert (per["max"] == 8).all()
+        pid = partition_of(seg.vertex.to_numpy(), 4)
+        crossed = (seg.walker.diff() == 0) & (np.diff(pid, prepend=-1) != 0)
+        assert crossed.sum() > 40
 
     def test_dead_ends_stop(self, spark):
         edges = pd.DataFrame({"src": [0], "dst": [1], "bias": [1]})
