@@ -1,11 +1,9 @@
 """Table 4 benchmarks: the batched update machinery whose conversion
 ratios Table 4 reports (`python jobs/table4_conversion.py` prints the
-full matrix), plus the two-phase delete kernel in isolation."""
-import numpy as np
+full matrix)."""
 import pytest
 
 from repro.core import BingoStore
-from repro.core.batched import plan_two_phase_delete
 from repro.graphs.updates import make_update_plan
 from repro.synth_data import graph_edges
 
@@ -27,12 +25,6 @@ def test_batched_mixed_round(benchmark, plan):
         lambda store, batch: store.apply_batch(batch),
         setup=setup, rounds=5, iterations=1,
     )
-
-
-def test_two_phase_plan_kernel(benchmark):
-    g = np.random.default_rng(10)
-    dels = g.choice(100_000, size=10_000, replace=False)
-    benchmark(plan_two_phase_delete, 100_000, dels)
 
 
 def test_conversion_stats_collection(benchmark, plan):

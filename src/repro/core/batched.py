@@ -1,58 +1,95 @@
 """Parallel batched graph updates (paper §5.2).
 
-The batched path groups all update requests of one vertex together and
-performs, in order: **insert → delete → rebuild**, with exactly one
-group-reclassification + inter-table rebuild per vertex per batch
-(instead of one per op on the streaming path — the source of the
-~1000x batched-vs-streamed gap in Fig. 12).
+A batch is resolved to net per-edge effects, validating every event
+before any store changes. Then each vertex's requests run together:
+**insert → delete → rebuild**, with exactly one reclassification +
+inter-group table rebuild per vertex per batch (instead of one per op on
+the streaming path — the source of the ~1000x gap in Fig. 12).
 
-Deletes use the two-phase parallel delete-and-swap of Fig. 10(b)
-(``dynarray.plan_two_phase_delete``). One plan is computed per vertex and
-applied to both the sampler and its adjacency row, so they stay aligned
-by construction.
+Deletes swap one edge at a time, on the row and then on the sampler at
+the index the row vacated. The paper's two-phase delete (Fig. 10(b))
+keeps concurrent GPU threads from moving a doomed tail entry into a
+doomed slot; one thread swapping one edge at a time always moves a live
+tail entry, so it needs no plan.
 """
 from __future__ import annotations
 
-import numpy as np
+import pandas as pd
 
+from ..graphs.updates import OP_DELETE, OP_INSERT
 from .bingo_vertex import BingoVertex
-from .dynarray import plan_two_phase_delete
+from .bits import exact_float
 
 
-def batched_delete(v: BingoVertex, idxs):
-    """Delete many indices of one vertex with the two-phase plan, and
-    return the plan ``(slots, fillers, new_d)`` for the adjacency row.
+def resolve_net_effects(has_edge, batch: pd.DataFrame):
+    """Collapse an in-order update batch to net per-edge effects (§5.2).
 
-    Group-structure removal stays O(1) per (index, touched group) via the
-    inverted indices; the compaction runs as one vectorized two-phase
-    move instead of per-edge swaps. Caller finalizes.
+    The paper allows re-inserting a just-deleted edge within a batch via
+    timestamps; processing events in order and keeping only each edge's
+    final state is equivalent once the whole batch is applied atomically
+    before the next walk round (§6 implementation detail ii).
+
+    Returns ``(inserts, deletes)``: dicts keyed by src of [(dst, bias)]
+    / [dst] lists, each bias a float64. Raises before anything changes:
+    ``KeyError`` on deleting an edge that is absent at that point of the
+    stream or inserting one that is present, ``ValueError`` on a bias
+    that is not positive (NaN included) or that float64 would round.
     """
-    for idx in idxs:
-        v._leave_groups(int(idx))
-    slots, fillers, new_d = plan_two_phase_delete(v.degree, idxs)
-    # Rename surviving tail elements (fillers) to their new front slots in
-    # every group that references them — the batched analog of the
-    # streaming path's single swap renaming.
-    for p, f in zip(slots.tolist(), fillers.tolist()):
-        v._rename(f, p)
-    v._ints.compact(slots, fillers, new_d)
-    v._fracs.compact(slots, fillers, new_d)
-    return slots, fillers, new_d
+    # (src, dst) -> (present before the batch, present now, bias); the
+    # store is unchanged until the batch is applied, so one probe per edge.
+    state: dict = {}
+    for op, src, dst, bias in zip(batch["op"], batch["src"], batch["dst"], batch["bias"]):
+        key = (int(src), int(dst))
+        entry = state.get(key)
+        if entry is None:
+            was = present = has_edge(*key)
+        else:
+            was, present, _ = entry
+        if op == OP_INSERT:
+            if present:
+                raise KeyError(f"insert of existing edge {key}")
+            bias = exact_float(bias)
+            if not bias > 0:  # also rejects NaN
+                raise ValueError(f"bias {bias} of edge {key} must be positive")
+            state[key] = (was, True, bias)
+        elif op == OP_DELETE:
+            if not present:
+                raise KeyError(f"delete of missing edge {key}")
+            state[key] = (was, False, None)
+        else:
+            raise ValueError(f"unknown op {op}")
+    inserts: dict = {}
+    deletes: dict = {}
+    for (src, dst), (was, present, bias) in state.items():
+        if present and not was:
+            inserts.setdefault(src, []).append((dst, bias))
+        elif not present and was:
+            deletes.setdefault(src, []).append(dst)
+        # present == was: the batch's net effect on this edge is nil
+        # (insert+delete round trip) — nothing to apply.
+    return inserts, deletes
+
+
+def batched_delete(v: BingoVertex, dsts, row) -> None:
+    """Delete the edges to ``dsts`` from adjacency ``row`` and sampler
+    ``v``: each is one swap on both sides, O(K) per edge through the
+    inverted indices. Caller finalizes."""
+    for dst in dsts:
+        v._delete_index(row.delete(dst))
 
 
 def apply_vertex_batch(v: BingoVertex, inserts, deletes, row) -> None:
     """§5.2 per-vertex batch on sampler ``v`` and its adjacency ``row``:
-    all inserts, then all deletes (two-phase), then ONE rebuild
-    (reclassify + inter-group table).
+    all inserts, then all deletes, then ONE rebuild (reclassify +
+    inter-group table).
 
     ``inserts`` is a sequence of (dst, bias); ``deletes`` a sequence of
     dst ids. The caller (store) has already resolved same-edge conflicts
-    into net effects per the paper's timestamp rule.
+    into net effects per the paper's timestamp rule, and validated them.
     """
     for dst, bias in inserts:
-        v._insert_edge(bias)  # validates the bias before either side changes
-        row.append(int(dst), bias)
+        v._insert_edge(bias)
+        row.append(dst, bias)
     if deletes:
-        idxs = np.array([row.pos.pop(int(d)) for d in deletes], dtype=np.int64)
-        row.compact(*batched_delete(v, idxs))
+        batched_delete(v, deletes, row)
     v._finalize_update()

@@ -14,7 +14,7 @@ row (``graphs.dynamic_graph``). It implements:
   the K-entry inter-group alias table;
 - O(K) streaming delete (§4.2): delete-and-swap in each touched group,
   plus the adjacency's swap with index renaming propagated via
-  ``replace_index``;
+  ``replace_index`` — the one delete the batched path (§5.2) repeats;
 - adaptive group representations (§5.1) with on-the-fly reclassification
   and conversion counters (the raw data behind the paper's Table 4);
 - floating-point biases via the λ amortization factor (§4.3), with one
@@ -218,13 +218,6 @@ class BingoVertex(VertexSampler):
         else:
             g.insert(idx)
 
-    def _group_delete(self, k: int, idx: int) -> None:
-        g = self._groups[k]
-        self.touches[g.kind] += 1
-        g.delete(idx)
-        if g.kind == KIND_ONE or g.size == 0:
-            del self._groups[k]
-
     def _reclassify_all(self) -> None:
         """Convert any group whose Eq. 9 class changed (conversion source
         data for Table 4). Non-adaptive mode keeps everything regular."""
@@ -261,22 +254,29 @@ class BingoVertex(VertexSampler):
             self._decimal.insert(idx, frac)
         return idx
 
-    def _leave_groups(self, idx: int) -> None:
-        """Remove index ``idx`` from every group it belongs to."""
+    def _delete_index(self, idx: int) -> None:
+        """Intra-group part of deletion; caller must ``_finalize_update``.
+
+        ``idx`` leaves its groups, then the tail d-1 is renamed to ``idx``:
+        the same swap its adjacency row's delete made."""
         for k in bits.bit_positions(int(self._ints[idx])):
-            self._group_delete(k, idx)
+            g = self._groups[k]
+            self.touches[g.kind] += 1
+            g.delete(idx)
+            if g.kind == KIND_ONE or g.size == 0:
+                del self._groups[k]
         if self._fracs[idx] > 0:
             self._decimal.delete(idx)
             if self._decimal.size == 0:
                 self._decimal = None
-
-    def _rename(self, old: int, new: int) -> None:
-        """Point every group holding index ``old`` at ``new`` — the entry
-        the adjacency moved by its own delete-and-swap."""
-        for k in bits.bit_positions(int(self._ints[old])):
-            self._groups[k].replace_index(old, new)
-        if self._fracs[old] > 0:
-            self._decimal.replace_index(old, new)
+        last = self.degree - 1
+        if idx != last:
+            for k in bits.bit_positions(int(self._ints[last])):
+                self._groups[k].replace_index(last, idx)
+            if self._fracs[last] > 0:
+                self._decimal.replace_index(last, idx)
+        self._ints.pop_swap(idx)
+        self._fracs.pop_swap(idx)
 
     def _finalize_update(self) -> None:
         """Reclassify + rebuild the inter-group table — once per streaming
@@ -292,15 +292,8 @@ class BingoVertex(VertexSampler):
         return idx
 
     def delete(self, index: int) -> None:
-        """Streaming deletion (§4.2): delete-and-swap in each touched
-        group, then the tail index d-1 is renamed to ``index``."""
-        idx = int(index)
-        self._leave_groups(idx)
-        last = self.degree - 1
-        if idx != last:
-            self._rename(last, idx)
-        self._ints.pop_swap(idx)
-        self._fracs.pop_swap(idx)
+        """Streaming deletion (§4.2): ``_delete_index`` plus one rebuild."""
+        self._delete_index(int(index))
         self._finalize_update()
 
     # -- memory accounting (§4.4, Fig. 11, Table 3) --------------------------
@@ -350,3 +343,13 @@ class BingoVertex(VertexSampler):
             W = bits.group_weights(ints)
             for key, g in self._groups.items():
                 assert g.weight() == W[key], f"W(p_{key}) mismatch"
+        # The inter-group table draws each group with Eq. 5's W(p_k)/ΣW.
+        keys = sorted(self._groups) + ([DECIMAL_KEY] if self._decimal is not None else [])
+        assert self._inter_keys == keys, "inter-group keys stale"
+        if keys:
+            t = self._inter
+            implied = (t.prob + np.bincount(t.alias, 1.0 - t.prob, minlength=t.n)) / t.n
+            w = np.array([self.group(k).weight() for k in keys])
+            np.testing.assert_allclose(implied, w / w.sum(), rtol=0, atol=1e-9)
+        else:
+            assert self._inter is None

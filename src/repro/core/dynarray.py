@@ -12,46 +12,14 @@ behavioural contract on the CPU:
 - ``nbytes`` reports *capacity* bytes (what the pool holds), which is
   what the paper's memory-consumption columns measure.
 
-Batched deletion uses the **two-phase parallel delete-and-swap** of §5.2
-(Fig. 10(b)): when deleting N entries of a compact array concurrently,
-a naive swap may fill a doomed slot with a tail element that is *itself*
-doomed. Phase (i) deletes the doomed elements that sit inside the tail
-window of size N (they simply fall off at truncation); the γ deletions
-handled there guarantee the remaining N-γ tail elements survive, so
-phase (ii) can use them to fill the N-γ doomed slots in the front.
-``plan_two_phase_delete`` computes that plan and ``DynArray.compact``
-applies it, so every array planned from the same indices stays aligned.
+The §5.2 batched path deletes with the same ``pop_swap``, one entry at
+a time, so every array swapped at the same indices stays aligned.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _MIN_CAPACITY = 4
-
-
-def plan_two_phase_delete(d: int, delete_indices) -> tuple[np.ndarray, np.ndarray, int]:
-    """Plan the §5.2 two-phase deletion of ``delete_indices`` from a
-    compact array of length ``d``.
-
-    Returns ``(slots, fillers, new_d)``: assign ``arr[slots] = arr[fillers]``
-    then truncate to ``new_d``. Guarantees: ``fillers`` are all >= new_d
-    (tail window), none of them is deleted, and ``len(fillers) == len(slots)``
-    = N - γ where γ is the number of doomed entries already in the tail.
-    """
-    idxs = np.unique(np.asarray(delete_indices, dtype=np.int64))
-    if len(idxs) != len(np.asarray(delete_indices)):
-        raise ValueError("duplicate delete indices")
-    if len(idxs) == 0:
-        return idxs, idxs, d
-    if idxs[0] < 0 or idxs[-1] >= d:
-        raise IndexError("delete index out of range")
-    n = len(idxs)
-    new_d = d - n
-    slots = idxs[idxs < new_d]                      # doomed entries in front
-    tail = np.arange(new_d, d, dtype=np.int64)      # phase (i) window
-    fillers = tail[~np.isin(tail, idxs)]            # survivors of phase (i)
-    assert len(fillers) == len(slots)
-    return slots, fillers, new_d
 
 
 class DynArray:
@@ -131,20 +99,6 @@ class DynArray:
         moved = self._buf[last]
         self._buf[i] = moved
         return moved
-
-    def truncate(self, n: int) -> None:
-        """Drop the live length to ``n`` without releasing capacity —
-        the bulk tail-drop used by the batched two-phase delete (§5.2)."""
-        if not 0 <= n <= self._n:
-            raise ValueError(f"cannot truncate {self._n} -> {n}")
-        self._n = n
-
-    def compact(self, slots, fillers, n: int) -> None:
-        """Apply a ``plan_two_phase_delete`` plan: move the fillers into
-        the slots, then truncate to ``n``."""
-        buf = self.view()
-        buf[slots] = buf[fillers]
-        self.truncate(n)
 
     @property
     def nbytes(self) -> int:

@@ -14,57 +14,13 @@ from collections import Counter
 import numpy as np
 import pandas as pd
 
-# A module import: ``graphs.dynamic_graph`` imports ``core.dynarray``,
-# so a from-import here would cycle through this package's __init__.
+# A module import: ``graphs.dynamic_graph`` imports ``core`` modules, so
+# a from-import here would cycle through this package's __init__.
 from ..graphs import dynamic_graph
-from ..graphs.updates import OP_DELETE, OP_INSERT
-from .batched import apply_vertex_batch
+from . import bits
+from .batched import apply_vertex_batch, resolve_net_effects
 from .bingo_vertex import BingoVertex
 from .grouping import iter_vertex_groups
-
-
-def resolve_net_effects(has_edge, batch: pd.DataFrame):
-    """Collapse an in-order update batch to net per-edge effects (§5.2).
-
-    The paper allows re-inserting a just-deleted edge within a batch via
-    timestamps; processing events in order and keeping only each edge's
-    final state is equivalent once the whole batch is applied atomically
-    before the next walk round (§6 implementation detail ii).
-
-    Returns ``(inserts, deletes)``: dicts keyed by src of [(dst, bias)]
-    / [dst] lists. Raises on deleting an edge that is absent at that
-    point of the stream, mirroring a real engine's integrity check.
-    """
-    # (src, dst) -> (present before the batch, present now, bias); the
-    # store is unchanged until the batch is applied, so one probe per edge.
-    state: dict = {}
-    for op, src, dst, bias in zip(batch["op"], batch["src"], batch["dst"], batch["bias"]):
-        key = (int(src), int(dst))
-        entry = state.get(key)
-        if entry is None:
-            was = present = has_edge(*key)
-        else:
-            was, present, _ = entry
-        if op == OP_INSERT:
-            if present:
-                raise KeyError(f"insert of existing edge {key}")
-            state[key] = (was, True, bias)
-        elif op == OP_DELETE:
-            if not present:
-                raise KeyError(f"delete of missing edge {key}")
-            state[key] = (was, False, None)
-        else:
-            raise ValueError(f"unknown op {op}")
-    inserts: dict = {}
-    deletes: dict = {}
-    for (src, dst), (was, present, bias) in state.items():
-        if present and not was:
-            inserts.setdefault(src, []).append((dst, bias))
-        elif not present and was:
-            deletes.setdefault(src, []).append(dst)
-        # present == was: the batch's net effect on this edge is nil
-        # (insert+delete round trip) — nothing to apply.
-    return inserts, deletes
 
 
 class BingoStore:
@@ -133,8 +89,18 @@ class BingoStore:
     # -- updates -------------------------------------------------------------
 
     def apply_batch(self, batch: pd.DataFrame) -> None:
-        """Batched path (§5.2): group by vertex, insert→delete→one rebuild."""
+        """Batched path (§5.2): group by vertex, insert→delete→one rebuild.
+
+        The whole batch is validated before any vertex changes, so a
+        batch that raises leaves the store as it was."""
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
+        for u, ins in inserts.items():
+            # Inserts run first, so they split at the vertex's λ, or at
+            # the λ the first of them picks on an empty vertex.
+            v = self._v.get(u)
+            lam = v.lam if v is not None and v.degree else bits.choose_lambda([ins[0][1]])
+            if max(b for _, b in ins) * lam >= bits.INT64_LIMIT:
+                raise ValueError(f"a bias into vertex {u} at λ={lam} overflows int64")
         for u in set(inserts) | set(deletes):
             v = self._v.get(u)
             if v is None:

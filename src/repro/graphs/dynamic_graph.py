@@ -2,9 +2,9 @@
 
 This is the one graph container under every store — BINGO and the three
 SOTA comparators: a per-vertex pair of dynamic arrays (destinations,
-biases) plus an O(1) dst→index locate map. Updates are O(1) amortized
-(append / swap-delete, or one two-phase compaction per batch), and each
-store keeps its *sampling* structures in the same index space, so the
+biases) plus an O(1) dst→index locate map. Edits are O(1) amortized
+(append / swap-delete) and arrive as resolved batches, and each store
+keeps its *sampling* structures in the same index space, so the
 frameworks differ only in what they build on top of it.
 """
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..core.bits import check_exact_floats, exact_float
+from ..core.batched import resolve_net_effects
+from ..core.bits import check_exact_floats
 from ..core.dynarray import DynArray
-from .updates import OP_DELETE, OP_INSERT
 
 _POS_ENTRY_BYTES = 16
 
@@ -56,23 +56,24 @@ class _VertexAdj:
         if len(self.pos) != len(self.dst):
             raise ValueError("duplicate destination in neighbor list")
 
-    def append(self, dst: int, bias) -> int:
+    def append(self, dst: int, bias: float) -> int:
         """Add edge to ``dst``; returns its index (the old degree)."""
         if dst in self.pos:
             raise KeyError(f"edge to {dst} already present")
-        bias = exact_float(bias)
         idx = self.dst.append(dst)
         self.bias.append(bias)
         self.pos[dst] = idx
         return idx
 
-    def compact(self, slots, fillers, n: int) -> None:
-        """Apply a ``plan_two_phase_delete`` plan (§5.2 batched delete);
-        the deleted destinations must already be popped from ``pos``."""
-        for p, moved in zip(slots.tolist(), self.dst.view()[fillers].tolist()):
-            self.pos[moved] = p
-        self.dst.compact(slots, fillers, n)
-        self.bias.compact(slots, fillers, n)
+    def delete(self, dst: int) -> int:
+        """Swap-delete the edge to ``dst``; returns the vacated index,
+        which the former tail now holds."""
+        idx = self.pos.pop(dst)  # KeyError when absent
+        moved = self.dst.pop_swap(idx)
+        self.bias.pop_swap(idx)
+        if moved is not None:
+            self.pos[int(moved)] = idx
+        return idx
 
 
 class Adjacency:
@@ -100,34 +101,19 @@ class Adjacency:
             r = self.rows[u] = _VertexAdj([], [])
         return r
 
-    def insert(self, src: int, dst: int, bias: float) -> int:
-        """Append edge (src, dst); returns its index in ``src``'s row."""
-        return self.row(int(src)).append(int(dst), bias)
-
-    def delete(self, src: int, dst: int) -> int:
-        """Swap-delete edge (src, dst); returns the vacated index, which
-        the former tail now holds."""
-        r = self.rows.get(int(src))
-        if r is None or int(dst) not in r.pos:
-            raise KeyError(f"edge ({src},{dst}) not present")
-        idx = r.pos.pop(int(dst))
-        moved = r.dst.pop_swap(idx)
-        r.bias.pop_swap(idx)
-        if moved is not None:
-            r.pos[int(moved)] = idx
-        return idx
-
     def apply(self, batch: pd.DataFrame) -> None:
-        """Apply one in-order update batch (columns op/src/dst/bias)."""
-        for op, src, dst, bias in zip(
-            batch["op"], batch["src"], batch["dst"], batch["bias"]
-        ):
-            if op == OP_INSERT:
-                self.insert(int(src), int(dst), bias)
-            elif op == OP_DELETE:
-                self.delete(int(src), int(dst))
-            else:
-                raise ValueError(f"unknown op {op}")
+        """Apply one update batch (columns op/src/dst/bias): resolve its
+        net effects, which raises before any row changes, then append
+        and delete per row."""
+        inserts, deletes = resolve_net_effects(self.has_edge, batch)
+        for u, ins in inserts.items():
+            row = self.row(u)
+            for dst, bias in ins:
+                row.append(dst, bias)
+        for u, dsts in deletes.items():
+            row = self.rows[u]
+            for dst in dsts:
+                row.delete(dst)
 
     # -- queries -------------------------------------------------------------
 

@@ -1,13 +1,15 @@
-"""Parallel batched updates (paper §5.2): the two-phase delete-and-swap
-kernel and the per-vertex insert→delete→rebuild batch path."""
+"""Parallel batched updates (paper §5.2): net-effect resolution and the
+per-vertex insert→delete→rebuild batch path, whose deletes swap one edge
+at a time on the adjacency row and the sampler."""
 from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import BingoStore, BingoVertex
-from repro.core.batched import apply_vertex_batch, batched_delete, plan_two_phase_delete
+from repro.core import BingoStore, BingoVertex, bits
+from repro.core.batched import apply_vertex_batch
+from repro.core.groups import KIND_DENSE
 from repro.core.store import resolve_net_effects
 from repro.graphs.dynamic_graph import Adjacency
 from repro.graphs.updates import make_update_plan, apply_updates
@@ -24,70 +26,6 @@ def per_event(st, batch):
 APPLY = {"apply_batch": BingoStore.apply_batch, "per_event": per_event}
 
 
-class TestTwoPhasePlan:
-    def test_empty(self):
-        slots, fillers, nd = plan_two_phase_delete(5, [])
-        assert len(slots) == 0 and len(fillers) == 0 and nd == 5
-
-    def test_all_front(self):
-        slots, fillers, nd = plan_two_phase_delete(6, [0, 1])
-        np.testing.assert_array_equal(slots, [0, 1])
-        np.testing.assert_array_equal(fillers, [4, 5])
-        assert nd == 4
-
-    def test_all_tail_gamma_equals_n(self):
-        # Phase (i) handles every doomed element; no fills needed.
-        slots, fillers, nd = plan_two_phase_delete(6, [4, 5])
-        assert len(slots) == 0 and len(fillers) == 0 and nd == 4
-
-    def test_paper_fig10b_mix(self):
-        # Doomed front slot must NOT be filled by a doomed tail element.
-        slots, fillers, nd = plan_two_phase_delete(10, [0, 9, 5, 7])
-        np.testing.assert_array_equal(slots, [0, 5])
-        np.testing.assert_array_equal(fillers, [6, 8])
-        assert nd == 6
-
-    def test_fillers_never_deleted(self):
-        g = rng(1)
-        for _ in range(50):
-            d = int(g.integers(2, 40))
-            n = int(g.integers(1, d))
-            dels = g.choice(d, size=n, replace=False)
-            slots, fillers, nd = plan_two_phase_delete(d, dels)
-            assert nd == d - n
-            assert len(slots) == len(fillers)
-            assert not np.isin(fillers, dels).any()
-            assert (fillers >= nd).all()
-            assert (slots < nd).all()
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            plan_two_phase_delete(5, [1, 1])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            plan_two_phase_delete(5, [5])
-
-    def test_delete_everything(self):
-        slots, fillers, nd = plan_two_phase_delete(4, [0, 1, 2, 3])
-        assert nd == 0 and len(slots) == 0
-
-    def test_apply_semantics_match_sequential(self):
-        # Applying the plan to an array equals any order of pop_swap-free
-        # multiset deletion.
-        g = rng(2)
-        for _ in range(30):
-            d = int(g.integers(2, 30))
-            arr = g.integers(0, 1000, d)
-            n = int(g.integers(1, d))
-            dels = g.choice(d, size=n, replace=False)
-            slots, fillers, nd = plan_two_phase_delete(d, dels)
-            out = arr.copy()
-            out[slots] = out[fillers]
-            survivors = sorted(np.delete(arr, dels).tolist())
-            assert sorted(out[:nd].tolist()) == survivors
-
-
 def row_of(dsts, biases):
     """The adjacency row of vertex 0 over ``dsts`` / ``biases``."""
     return Adjacency.from_edges(
@@ -95,23 +33,50 @@ def row_of(dsts, biases):
     ).row(0)
 
 
+def eq7_probs(v):
+    """P(i) = Σ_k P(p_k)·P(i | p_k) (Eq. 7) over an integer vertex's own
+    groups: P(p_k) = W(p_k)/ΣW (Eq. 5, which ``check_invariants`` holds
+    the inter-group table to), then a uniform pick among the members."""
+    p = np.zeros(v.degree)
+    for key in v._inter_keys:
+        g = v.group(key)
+        members = (
+            bits.group_members(v.int_bias_view(), key)
+            if g.kind == KIND_DENSE
+            else g.members_array()
+        )
+        p[members] += g.weight() / v.total_weight / len(members)
+    return p
+
+
 class TestBatchedVertexOps:
+    # (degree, deleted indices): random, Fig. 10(b)'s doomed slot whose
+    # tail is doomed too, all in front, all in the tail, everything, none.
+    DELETES = [
+        (30, rng(3).choice(30, size=12, replace=False).tolist()),
+        (10, [0, 5, 7, 9]),
+        (6, [0, 1]),
+        (6, [4, 5]),
+        (4, [0, 1, 2, 3]),
+        (5, []),
+    ]
+
     def test_batched_delete_matches_streaming(self):
-        g = rng(3)
-        biases = g.integers(1, 256, 30)
-        v_batch = BingoVertex(biases)
-        v_stream = BingoVertex(biases)
-        victims = g.choice(30, size=12, replace=False)
-        batched_delete(v_batch, victims)
-        v_batch._finalize_update()
-        # Highest index first, so each swap moves a survivor.
-        for i in sorted(victims.tolist(), reverse=True):
-            v_stream.delete(i)
-        v_batch.check_invariants()
-        assert v_batch.degree == v_stream.degree
-        survivors = sorted(np.delete(biases, victims).tolist())
-        assert sorted(weights(v_batch)) == sorted(weights(v_stream)) == survivors
-        assert v_batch.total_weight == v_stream.total_weight
+        for d, victims in self.DELETES:
+            biases = rng(d).integers(1, 256, d)
+            v_batch, row = BingoVertex(biases), row_of(np.arange(d), biases)
+            v_stream, row_s = BingoVertex(biases), row_of(np.arange(d), biases)
+            apply_vertex_batch(v_batch, [], victims, row)
+            for dst in victims:
+                v_stream.delete(row_s.delete(dst))
+            v_batch.check_invariants()
+            # Aligned with its row, and laid out as the streaming path.
+            assert weights(v_batch) == row.bias.view().tolist() == weights(v_stream)
+            assert row.dst.view().tolist() == row_s.dst.view().tolist()
+            assert sorted(row.dst.view()) == sorted(set(range(d)) - set(victims))
+            if v_batch.degree:
+                w = row.bias.view()
+                np.testing.assert_allclose(eq7_probs(v_batch), w / w.sum(), rtol=0, atol=1e-12)
 
     def test_apply_vertex_batch_insert_then_delete(self):
         v = BingoVertex([4, 5, 6])
@@ -243,6 +208,19 @@ class TestFloatStore:
         )
         hops = st.sample_next(rng(1), np.full(40_000, 5))
         assert_distribution((hops == 1).astype(int), [0.8, 0.2])
+
+    @pytest.mark.parametrize("src", [1, 9], ids=["existing", "new"])
+    def test_overflow_leaves_batch_unapplied(self, src):
+        # Vertex 1 splits at λ = 10; a new source at the λ = 100 that its
+        # first bias, 0.05, picks. 1e18 fits int64 at λ = 1, not at either.
+        st = BingoStore(self.EDGES)
+        batch = pd.DataFrame(
+            {"op": [1, 1], "src": [src, src], "dst": [7, 8], "bias": [0.05, 1e18]}
+        )
+        with pytest.raises(ValueError):
+            st.apply_batch(batch)
+        st.check_invariants()
+        pd.testing.assert_frame_equal(st.edges(), self.EDGES, check_dtype=False)
 
     @pytest.mark.parametrize("path", list(APPLY))
     def test_overflowing_bias_rejected(self, path):

@@ -127,9 +127,9 @@ class TestStreamingInsert:
         with pytest.raises(KeyError):
             st.apply_batch(events([(1, 0, 5, 2)]))
         with pytest.raises(KeyError):
-            st.adj.insert(0, 5, 2)
+            st.adj.row(0).append(5, 2.0)
         st.check_invariants()
-        assert st.num_edges() == 1
+        pd.testing.assert_frame_equal(st.edges(), edges_df([(0, 5, 1)]), check_dtype=False)
 
     def test_insert_distribution(self):
         v = BingoVertex([5, 4, 3])
@@ -137,6 +137,19 @@ class TestStreamingInsert:
         draws = v.sample(rng(3), 60_000)
         full = np.array([5, 4, 3, 8])
         assert_distribution(draws, full / full.sum())
+
+    @pytest.mark.parametrize("bias", [1, 4], ids=["weight", "key"])
+    def test_unfinalized_insert_fails_invariants(self, bias):
+        # Group 2^0 gains a member (or group 2^2 appears), but the
+        # inter-group table still draws the old groups with their old
+        # weights: check_invariants must see that. Regular groups keep
+        # every other check passing.
+        v = BingoVertex([1, 2], adaptive=False)
+        v._insert_edge(bias)
+        with pytest.raises(AssertionError, match="inter-group|Not equal"):
+            v.check_invariants()
+        v._finalize_update()
+        v.check_invariants()
 
     def test_insert_into_empty(self):
         v = BingoVertex([])
@@ -150,7 +163,7 @@ class TestStreamingDelete:
     def test_paper_delete_example(self):
         # Fig. 6: delete (2,1,5); edge index 0 leaves groups 2^0 and 2^2.
         adj = Adjacency.from_edges(edges_df([(2, 1, 5), (2, 4, 4), (2, 5, 3)]))
-        assert adj.delete(2, 1) == 0
+        assert adj.row(2).delete(1) == 0
         assert not adj.has_edge(2, 1)
         v = BingoVertex([5, 4, 3], adaptive=False)
         v.delete(0)

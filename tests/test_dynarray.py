@@ -85,13 +85,6 @@ class TestPopSwap:
             a.pop_swap(0)
         assert a.nbytes == cap
 
-    def test_truncate(self):
-        a = DynArray.from_values([1, 2, 3, 4])
-        a.truncate(2)
-        assert a.view().tolist() == [1, 2]
-        with pytest.raises(ValueError):
-            a.truncate(3)
-
     @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50),
            st.data())
     @settings(max_examples=100, deadline=None)

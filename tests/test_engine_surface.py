@@ -9,7 +9,7 @@ import pytest
 from repro.bench.table3 import STORES
 from repro.graphs.updates import apply_updates, make_update_plan
 from repro.synth_data import graph_edges
-from tests.util import rng
+from tests.util import assert_distribution, rng
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +65,21 @@ def test_dead_end(store):
     out = store.sample_next(rng(0), np.concatenate([sinks, live]))
     assert (out[: len(sinks)] == -1).all()
     assert all(store.has_edge(u, v) for u, v in zip(live, out[len(sinks):]))
+
+
+@pytest.mark.parametrize("bad", [2**53 + 1, 0.0, np.nan], ids=["rounded", "zero", "nan"])
+@pytest.mark.parametrize("name", list(STORES))
+def test_failed_batch_changes_nothing(name, bad):
+    """A batch with one bad bias raises before any edge changes: 0 -> 5
+    (bias 4) is not kept, and vertex 0 still draws 1 and 2 evenly."""
+    initial = pd.DataFrame({"src": [0, 0], "dst": [1, 2], "bias": [1, 1]})
+    st = STORES[name](initial)
+    batch = pd.DataFrame({"op": [1, 1], "src": [0, 0], "dst": [5, 6], "bias": [4, bad]})
+    with pytest.raises(ValueError):
+        st.apply_batch(batch)
+    pd.testing.assert_frame_equal(st.edges(), initial, check_dtype=False)
+    if hasattr(st, "check_invariants"):
+        st.check_invariants()
+    hops = st.sample_next(rng(7), np.zeros(60_000, dtype=np.int64))
+    assert set(np.unique(hops)) <= {1, 2}
+    assert_distribution(hops - 1, [0.5, 0.5])

@@ -17,6 +17,10 @@ def edges_df(rows):
     return pd.DataFrame(rows, columns=["src", "dst", "bias"])
 
 
+def events(rows):
+    return pd.DataFrame(rows, columns=["op", "src", "dst", "bias"])
+
+
 @pytest.fixture(params=list(SOTA_STORES.values()), ids=list(SOTA_STORES))
 def sota_cls(request):
     return request.param
@@ -33,21 +37,33 @@ class TestAdjacency:
 
     def test_insert_delete(self):
         adj = Adjacency.from_edges(edges_df([(0, 1, 2)]))
-        adj.insert(0, 9, 4)
+        adj.apply(events([(1, 0, 9, 4)]))
         assert adj.has_edge(0, 9)
-        adj.delete(0, 1)
+        adj.apply(events([(-1, 0, 1, 0)]))
         assert not adj.has_edge(0, 1)
         assert adj.out_degree(0) == 1
+        row = adj.row(0)
+        assert row.append(7, 1.0) == 1
+        assert row.delete(9) == 0  # the tail (7) moves into index 0
+        assert row.dst.view().tolist() == [7] and row.pos == {7: 0}
+        assert row.delete(7) == 0 and row.pos == {}
 
     def test_duplicate_insert_rejected(self):
         adj = Adjacency.from_edges(edges_df([(0, 1, 2)]))
         with pytest.raises(KeyError):
-            adj.insert(0, 1, 5)
+            adj.apply(events([(1, 0, 7, 1), (1, 0, 1, 5)]))
+        with pytest.raises(KeyError):
+            adj.row(0).append(1, 5.0)
+        pd.testing.assert_frame_equal(adj.edges(), edges_df([(0, 1, 2)]), check_dtype=False)
 
     def test_delete_missing_rejected(self):
-        adj = Adjacency()
+        adj = Adjacency.from_edges(edges_df([(0, 1, 2)]))
         with pytest.raises(KeyError):
-            adj.delete(3, 4)
+            adj.apply(events([(1, 0, 7, 1), (-1, 3, 4, 0)]))
+        with pytest.raises(KeyError):
+            adj.row(0).delete(4)
+        pd.testing.assert_frame_equal(adj.edges(), edges_df([(0, 1, 2)]), check_dtype=False)
+        assert list(adj.rows) == [0]
 
     def test_apply_matches_pandas_truth(self):
         e = graph_edges("AM").head(3000)

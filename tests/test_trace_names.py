@@ -1,18 +1,54 @@
-"""The ``repro`` names that the benchmark's per-layer tracer wraps.
+"""The ``repro`` names that the benchmark's per-layer tracer wraps, and the
+work counts it reads from their arguments.
 
 ``perfbench/layers.py`` replaces internal functions by name, and the
 tier-1 suite never runs a traced benchmark, so a removed or renamed name
-would otherwise fail only there. The list is read from ``layers.py``."""
+— or a changed argument that a work count is sized by — would otherwise
+fail only there. The list is read from ``layers.py``."""
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from repro.core import BingoStore
+from repro.core.store import resolve_net_effects
+from repro.graphs.updates import make_update_plan
+from repro.synth_data import graph_edges
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
-def test_traced_names_resolve():
+@pytest.fixture(scope="module")
+def layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_traced_names_resolve(layers):
     for owner, attr, label, _ in layers.PATCHES:
         assert attr in owner.__dict__, f"{label}: {owner.__name__}.{attr} is gone"
     assert callable(layers.store.iter_vertex_groups)
+
+
+def test_update_work_counts(layers):
+    plan = make_update_plan(graph_edges("AM").head(2000), batch_size=200,
+                            n_batches=1, mode="mixed", seed=3)
+    batch = plan.batches[0]
+    ins, dels = resolve_net_effects(BingoStore(plan.initial).has_edge, batch)
+    n_ins = sum(map(len, ins.values()))
+    n_del = sum(map(len, dels.values()))
+    assert n_ins and n_del
+    tr = layers.Tracer()
+    with tr.installed():
+        st = BingoStore(plan.initial)
+        st.apply_batch(batch)
+    t = layers.span_table(tr)
+
+    def work(label):
+        return int(t["work"][t["label"] == label].sum())
+
+    assert work("core.update.resolve") == len(batch)
+    assert work("core.update.vertex_batch") == n_ins + n_del
+    assert work("core.update.batched_delete") == n_del
