@@ -49,34 +49,54 @@ def eq7_probs(v):
     return p
 
 
-class TestBatchedVertexOps:
-    # (degree, deleted indices): random, Fig. 10(b)'s doomed slot whose
-    # tail is doomed too, all in front, all in the tail, everything, none.
-    DELETES = [
-        (30, rng(3).choice(30, size=12, replace=False).tolist()),
-        (10, [0, 5, 7, 9]),
-        (6, [0, 1]),
-        (6, [4, 5]),
-        (4, [0, 1, 2, 3]),
-        (5, []),
-    ]
+def batched_delete_layout(d, victims):
+    """Delete ``victims`` from a degree-``d`` vertex with the batch path,
+    check it against the streaming path, and return the row's dsts."""
+    biases = rng(d).integers(1, 256, d)
+    v_batch, row = BingoVertex(biases), row_of(np.arange(d), biases)
+    v_stream, row_s = BingoVertex(biases), row_of(np.arange(d), biases)
+    apply_vertex_batch(v_batch, [], victims, row)
+    for dst in victims:
+        v_stream.delete(row_s.delete(dst))
+    v_batch.check_invariants()
+    # Aligned with its row, and laid out as the streaming path.
+    assert weights(v_batch) == row.bias.view().tolist() == weights(v_stream)
+    assert row.dst.view().tolist() == row_s.dst.view().tolist()
+    assert sorted(row.dst.view()) == sorted(set(range(d)) - set(victims))
+    if v_batch.degree:
+        w = row.bias.view()
+        np.testing.assert_allclose(eq7_probs(v_batch), w / w.sum(), rtol=0, atol=1e-12)
+    return row.dst.view().tolist()
 
+
+class TestTwoPhasePlan:
+    """The delete sets of Fig. 10(b)'s two-phase plan, run through the
+    batched swap-delete: every vacated slot is refilled by a live tail
+    entry, never by a doomed one, and the survivors stay dense."""
+
+    def test_empty(self):
+        assert batched_delete_layout(5, []) == [0, 1, 2, 3, 4]
+
+    def test_all_front(self):
+        # Both front slots take the tail entries 5 then 4.
+        assert batched_delete_layout(6, [0, 1]) == [5, 4, 2, 3]
+
+    def test_all_tail_gamma_equals_n(self):
+        # Every doomed element is in the tail; the front never moves.
+        assert batched_delete_layout(6, [4, 5]) == [0, 1, 2, 3]
+
+    def test_paper_fig10b_mix(self):
+        # Doomed front slot 0 must NOT end up holding doomed tail entry 9.
+        assert batched_delete_layout(10, [0, 9, 5, 7]) == [8, 1, 2, 3, 4, 6]
+
+    def test_delete_everything(self):
+        assert batched_delete_layout(4, [0, 1, 2, 3]) == []
+
+
+class TestBatchedVertexOps:
     def test_batched_delete_matches_streaming(self):
-        for d, victims in self.DELETES:
-            biases = rng(d).integers(1, 256, d)
-            v_batch, row = BingoVertex(biases), row_of(np.arange(d), biases)
-            v_stream, row_s = BingoVertex(biases), row_of(np.arange(d), biases)
-            apply_vertex_batch(v_batch, [], victims, row)
-            for dst in victims:
-                v_stream.delete(row_s.delete(dst))
-            v_batch.check_invariants()
-            # Aligned with its row, and laid out as the streaming path.
-            assert weights(v_batch) == row.bias.view().tolist() == weights(v_stream)
-            assert row.dst.view().tolist() == row_s.dst.view().tolist()
-            assert sorted(row.dst.view()) == sorted(set(range(d)) - set(victims))
-            if v_batch.degree:
-                w = row.bias.view()
-                np.testing.assert_allclose(eq7_probs(v_batch), w / w.sum(), rtol=0, atol=1e-12)
+        victims = rng(3).choice(30, size=12, replace=False).tolist()
+        batched_delete_layout(30, victims)
 
     def test_apply_vertex_batch_insert_then_delete(self):
         v = BingoVertex([4, 5, 6])
