@@ -59,6 +59,10 @@ class AliasTable:
         j = int(u)
         return j if (u - j) < self.prob[j] else int(self.alias[j])
 
+    def probs(self) -> np.ndarray:
+        """The probability each entry is drawn, implied by prob/alias."""
+        return (self.prob + np.bincount(self.alias, 1.0 - self.prob, minlength=self.n)) / self.n
+
     @property
     def nbytes(self) -> int:
         return self.prob.nbytes + self.alias.nbytes
@@ -71,7 +75,11 @@ class AliasSampler(VertexSampler):
 
     def __init__(self, biases) -> None:
         self._w = np.asarray(biases, dtype=np.float64).copy()
-        self._table = AliasTable(self._w)
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        """O(d) rebuild on every update — the paper's point."""
+        self._table = AliasTable(self._w) if len(self._w) else None
 
     @property
     def degree(self) -> int:
@@ -82,11 +90,13 @@ class AliasSampler(VertexSampler):
         return float(self._w.sum())
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        if self._table is None:
+            raise ValueError("sampling from an empty vertex")
         return self._table.sample(rng, size)
 
     def insert(self, bias) -> int:
         self._w = np.append(self._w, float(bias))
-        self._table = AliasTable(self._w)  # O(d) rebuild — the paper's point
+        self._rebuild()
         return len(self._w) - 1
 
     def delete(self, index: int) -> None:
@@ -94,10 +104,7 @@ class AliasSampler(VertexSampler):
             raise IndexError(index)
         self._w[index] = self._w[-1]
         self._w = self._w[:-1]
-        if len(self._w):
-            self._table = AliasTable(self._w)  # O(d) rebuild
-        else:
-            self._table = None
+        self._rebuild()
 
     def weight_of(self, index: int) -> float:
         return float(self._w[index])

@@ -347,9 +347,7 @@ class BingoVertex(VertexSampler):
         keys = sorted(self._groups) + ([DECIMAL_KEY] if self._decimal is not None else [])
         assert self._inter_keys == keys, "inter-group keys stale"
         if keys:
-            t = self._inter
-            implied = (t.prob + np.bincount(t.alias, 1.0 - t.prob, minlength=t.n)) / t.n
             w = np.array([self.group(k).weight() for k in keys])
-            np.testing.assert_allclose(implied, w / w.sum(), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(self._inter.probs(), w / w.sum(), rtol=0, atol=1e-9)
         else:
             assert self._inter is None

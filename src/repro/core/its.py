@@ -36,6 +36,8 @@ class ITSampler(VertexSampler):
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         cdf = self._cdf.view()
+        if not len(cdf):
+            raise ValueError("sampling from an empty vertex")
         x = rng.random(size) * cdf[-1]
         return np.searchsorted(cdf, x, side="right").astype(np.int64)
 

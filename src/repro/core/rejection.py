@@ -59,6 +59,8 @@ class RejectionSampler(VertexSampler):
         return self._total
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        if not len(self._w):
+            raise ValueError("sampling from an empty vertex")
         return rejection_draw(rng, self._w.view(), self._max, size)
 
     def insert(self, bias) -> int:

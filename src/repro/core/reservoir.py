@@ -55,6 +55,8 @@ class ReservoirSampler(VertexSampler):
         return float(self._w.view().sum())
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        if not len(self._w):
+            raise ValueError("sampling from an empty vertex")
         return reservoir_draw(rng, self._w.view(), size)
 
     def insert(self, bias) -> int:

@@ -40,7 +40,8 @@ class VertexSampler(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Draw ``size`` indices i with P(i) = w_i / Σw (Eq. 2)."""
+        """Draw ``size`` indices i with P(i) = w_i / Σw (Eq. 2); raises
+        ``ValueError`` while d = 0."""
 
     @abc.abstractmethod
     def insert(self, bias) -> int:

@@ -34,9 +34,8 @@ def split_by_src(edges: pd.DataFrame):
 def edge_frame(triples) -> pd.DataFrame:
     """The (src, dst, bias) frame, sorted by (src, dst), of an iterable
     of (vertex, dsts, biases) triples — the inverse of ``split_by_src``."""
-    triples = list(triples)
-    if not triples:
-        return pd.DataFrame({"src": [], "dst": [], "bias": []})
+    # No triples: one empty triple, so the columns keep their dtypes.
+    triples = list(triples) or [(0, np.empty(0, np.int64), np.empty(0, np.float64))]
     src = np.concatenate([np.full(len(d), u, dtype=np.int64) for u, d, _ in triples])
     dst = np.concatenate([d for _, d, _ in triples])
     bias = np.concatenate([b for _, _, b in triples])

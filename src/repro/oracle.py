@@ -1,12 +1,12 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(df, sql, **tables)`` runs ``sql`` in DuckDB over
+``tables`` and asserts the sorted rows match ``df``. This catches wrong
+results from a rewritten plan, a custom operator or an incrementally
+kept structure — "it ran" is not "it is correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
+``df`` and ``tables`` may be Spark or pandas DataFrames; Spark frames
+are collected via ``.toPandas()``. Alias every output column identically
 on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
 ``count_star()``) and project to scalar columns — array/map/struct
 columns are not orderable so cannot be compared here.
@@ -16,16 +16,17 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 
-def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    # Canonical column order first, then row order by those columns, so
-    # two results that differ only in projection order compare equal.
-    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
-    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
-        pdf[c] = pdf[c].round(6)
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+def _canon(pdf: pd.DataFrame, floats: set) -> pd.DataFrame:
+    # Canonical column order first, so two results that differ only in
+    # projection order compare equal. Rows sort on the exact columns
+    # before the float ones: a float's last bits depend on summation
+    # order, which may flip a rounded sort key but not a tolerance check.
+    pdf = pdf[sorted(pdf.columns)]
+    keys = [c for c in pdf.columns if c not in floats] + sorted(floats)
+    return pdf.sort_values(keys).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(df, sql: str, **tables) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
@@ -33,11 +34,12 @@ def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
+    got = df.toPandas() if isinstance(df, DataFrame) else df
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"
     )
+    floats = {c for f in (got, expected) for c in f.select_dtypes("float").columns}
     pd.testing.assert_frame_equal(
-        _canon(got), _canon(expected), check_dtype=False
+        _canon(got, floats), _canon(expected, floats), check_dtype=False
     )

@@ -1,22 +1,4 @@
-"""Spark layer: Catalyst radix analytics + the distributed walk engine."""
+"""Spark layer: the distributed walk/update engine."""
 from .engine import SparkBingoEngine
-from .radix_df import (
-    apply_update_stream,
-    classify_groups,
-    degree_table,
-    group_weights,
-    inter_group_probs,
-    max_bits,
-    radix_decompose,
-)
 
-__all__ = [
-    "SparkBingoEngine",
-    "apply_update_stream",
-    "classify_groups",
-    "degree_table",
-    "group_weights",
-    "inter_group_probs",
-    "max_bits",
-    "radix_decompose",
-]
+__all__ = ["SparkBingoEngine"]

@@ -4,16 +4,19 @@ The paper scales BINGO to multiple GPUs with 1-D vertex partitioning and
 moves *walkers*, never sampling structures, between devices. This module
 maps device → Spark partition:
 
-- each partition's vertices live in one ``BingoStore``, serialized and
-  carried as a ``(pid, blob)`` state DataFrame (the "graph + metadata
-  stay on the device" rule);
+- each partition's vertices live in one ``BingoStore``. The driver
+  holds every partition's store pickled, in a ``pid -> blob`` dict,
+  plus each partition's vertex census; a build or update job returns
+  one ``(pid, blob, verts)`` row per partition it touched;
 - graph updates are routed to their owning partition with
   ``applyInPandas`` and applied incrementally there (the batched §5.2
-  path), producing the next state DataFrame;
-- walks advance in rounds: an ``applyInPandas`` task steps every walker
-  whose current vertex it owns *for as long as the walk stays local*,
-  emits one row per move, and forwards each walker that crossed into
-  another partition to the next round (walker forwarding).
+  path). The job broadcasts all partitions' blobs, and each task
+  unpickles its own, updates it and returns it re-pickled;
+- walks advance in rounds: each round broadcasts all blobs the same
+  way, and an ``applyInPandas`` task steps every walker whose current
+  vertex it owns *for as long as the walk stays local*, emits one row
+  per move, and forwards each walker that crossed into another
+  partition to the next round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -71,11 +74,12 @@ class SparkBingoEngine:
 
         self._state: dict[int, bytes] = {}
         self._census: dict[int, np.ndarray] = {}
-        self._collect(
-            self.spark.createDataFrame(pdf)
-            .groupBy("pid")
-            .applyInPandas(build, _STATE_SCHEMA)
-        )
+        if len(pdf):  # Spark cannot infer an empty frame's schema
+            self._collect(
+                self.spark.createDataFrame(pdf)
+                .groupBy("pid")
+                .applyInPandas(build, _STATE_SCHEMA)
+            )
 
     def _collect(self, states) -> None:
         """Take in the (pid, blob, verts) rows of a build or update job."""
@@ -113,7 +117,10 @@ class SparkBingoEngine:
         there on the batched §5.2 path.
 
         Partitions that receive no updates keep their previous state blob
-        (the inter-group space of untouched vertices is not rebuilt)."""
+        (the inter-group space of untouched vertices is not rebuilt).
+        An empty batch starts no job."""
+        if batch.empty:
+            return
         pdf = batch[["op", "src", "dst", "bias"]].copy()
         pdf["ord"] = np.arange(len(pdf), dtype=np.int64)  # preserve stream order
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), self.n_parts)

@@ -83,3 +83,15 @@ def test_failed_batch_changes_nothing(name, bad):
     hops = st.sample_next(rng(7), np.zeros(60_000, dtype=np.int64))
     assert set(np.unique(hops)) <= {1, 2}
     assert_distribution(hops - 1, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("name", list(STORES))
+def test_emptied_store_keeps_edge_dtypes(name):
+    """Deleting every edge leaves an empty edge list with the dtypes of a
+    full one: int64 src/dst and float64 bias."""
+    initial = pd.DataFrame({"src": [0, 0, 1], "dst": [1, 2, 0], "bias": [1, 2, 3]})
+    st = STORES[name](initial)
+    st.apply_batch(initial.assign(op=-1))
+    got = st.edges()
+    assert got.empty
+    assert got.dtypes.to_dict() == {"src": np.int64, "dst": np.int64, "bias": np.float64}

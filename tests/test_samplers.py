@@ -4,6 +4,7 @@ Eq. 2 exactly, before and after streaming updates."""
 import numpy as np
 import pytest
 
+from repro.bench.table1 import METHODS
 from repro.core import (
     AliasSampler,
     AliasTable,
@@ -170,3 +171,23 @@ class TestMethodSpecific:
         for cls in (ITSampler, RejectionSampler, ReservoirSampler):
             with pytest.raises(ValueError):
                 cls([1, -2])
+
+
+@pytest.mark.parametrize("name", list(METHODS))
+def test_empty_vertex(name):
+    """At d = 0, from an empty build and after the last delete, every
+    Table 1 method raises ValueError from ``sample``; an insert makes the
+    vertex drawable again."""
+    s = METHODS[name]([])
+    with pytest.raises(ValueError):
+        s.sample(rng(0), 1)
+    s.insert(3)
+    s.insert(2)
+    s.delete(1)
+    s.delete(0)
+    assert s.degree == 0
+    for size in (1, 4):
+        with pytest.raises(ValueError):
+            s.sample(rng(1), size)
+    s.insert(5)
+    assert (s.sample(rng(2), 4) == 0).all()

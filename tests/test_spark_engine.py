@@ -172,6 +172,22 @@ class TestDistributedUpdates:
         # Eq. 2 over vertex 0's biases 0.3, 0.1, 0.2 (to 1, 2, 3).
         assert_distribution(first - 1, [0.5, 1 / 6, 1 / 3])
 
+    def test_empty_graph_and_batch(self, spark):
+        """An empty edge frame builds and an empty batch is a no-op, as on
+        the local stores; deleting every edge leaves typed empty edges."""
+        empty = pd.DataFrame({"src": [], "dst": [], "bias": []})
+        eng = SparkBingoEngine(spark, empty, n_parts=2)
+        assert len(eng.vertices()) == 0 and eng.edges().empty
+        batch = pd.DataFrame({"op": [1, 1], "src": [0, 1], "dst": [1, 0], "bias": [2, 3]})
+        eng.apply_updates(batch.iloc[:0])
+        eng.apply_updates(batch)
+        eng.apply_updates(batch.iloc[:0])
+        np.testing.assert_array_equal(eng.vertices(), [0, 1])
+        eng.apply_updates(batch.assign(op=-1))
+        got = eng.edges()
+        assert len(eng.vertices()) == 0 and got.empty
+        assert got.dtypes.to_dict() == {"src": np.int64, "dst": np.int64, "bias": np.float64}
+
     def test_distribution_after_updates_matches_local(self, spark, small_edges):
         plan = make_update_plan(small_edges, batch_size=60, n_batches=2,
                                 mode="mixed", seed=32)

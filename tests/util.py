@@ -1,7 +1,9 @@
-"""Shared test helpers: statistical distribution checks with fixed seeds."""
+"""Shared test helpers: statistical distribution checks with fixed seeds,
+and a read-out of the radix groups a BINGO store samples from."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
 
 def empirical_probs(draws: np.ndarray, k: int) -> np.ndarray:
@@ -32,3 +34,19 @@ def weights(sampler) -> list:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def group_frame(stores) -> pd.DataFrame:
+    """Every radix group of every vertex in ``stores`` (``BingoStore``s),
+    read as ``check_invariants`` reads them: one (src, k, cnt, w, kind, d,
+    p) row per group, where ``k`` is -1 for the decimal group, ``w`` is in
+    λ-scaled units and ``p`` is the group's Eq. 5 probability as the
+    inter-group alias table draws it."""
+    rows = []
+    for st in stores:
+        for u, v in st._v.items():
+            p = dict(zip(v._inter_keys, v._inter.probs())) if v.degree else {}
+            for k, kind in v.group_kinds().items():
+                g = v.group(k)
+                rows.append((u, k, g.size, g.weight(), kind, v.degree, p[k]))
+    return pd.DataFrame(rows, columns=["src", "k", "cnt", "w", "kind", "d", "p"])
