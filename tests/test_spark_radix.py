@@ -1,21 +1,41 @@
-"""Catalyst radix analytics, oracle-checked against DuckDB bit arithmetic."""
+"""The radix tables of the stores the Spark engine's partitions hold,
+checked one table at a time against DuckDB bit arithmetic over the edge
+list: Eq. 3 sub-biases, Eq. 4 group weights, Eq. 5 inter-group
+probabilities and Eq. 9 group kinds. ``test_group_oracle.py`` checks the
+same groups as one joined table across builds and updates."""
+from collections import Counter
+
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro import synth_data
-from repro.core import bits
+from repro.core import BingoStore
+from repro.core.bingo_vertex import DECIMAL_KEY
+from repro.core.groups import KIND_DENSE
 from repro.oracle import assert_equivalent
-from repro.spark import (
-    apply_update_stream,
-    classify_groups,
-    degree_table,
-    group_weights,
-    inter_group_probs,
-    max_bits,
-    radix_decompose,
+from repro.spark import SparkBingoEngine
+from tests.util import group_frame
+
+#: Eq. 9 over the Eq. 3 bit arithmetic: one (src, k, cnt, d, kind) row
+#: per non-empty radix group of integer biases.
+CLASSIFY_SQL = """
+WITH gw AS (
+  SELECT e.src AS src, t.k AS k, COUNT(*) AS cnt
+  FROM edges e, (SELECT UNNEST(range(0, {K})) AS k) t
+  WHERE (e.bias >> t.k) & 1 = 1
+  GROUP BY e.src, t.k
+), deg AS (
+  SELECT src, COUNT(*) AS d FROM edges GROUP BY src
 )
-from repro.graphs.updates import make_update_plan
+SELECT gw.src AS src, gw.k AS k, gw.cnt AS cnt, deg.d AS d,
+       CASE WHEN gw.cnt * 100.0 / deg.d > 40 THEN 'dense'
+            WHEN gw.cnt = 1 THEN 'one_element'
+            WHEN gw.cnt * 100.0 / deg.d < 10 THEN 'sparse'
+            ELSE 'regular' END AS kind
+FROM gw JOIN deg ON gw.src = deg.src
+"""
 
 
 @pytest.fixture(scope="module")
@@ -24,62 +44,63 @@ def edges_pdf():
 
 
 @pytest.fixture(scope="module")
-def edges(spark, edges_pdf):
-    return spark.createDataFrame(edges_pdf)
+def stores(spark, edges_pdf):
+    """Every partition's ``BingoStore`` after the Spark build."""
+    eng = SparkBingoEngine(spark, edges_pdf, n_parts=4)
+    return [eng.store_of(pid) for pid in range(eng.n_parts)]
+
+
+@pytest.fixture(scope="module")
+def groups(stores):
+    got = group_frame(stores)
+    assert (got.k != DECIMAL_KEY).all()  # whole-number biases: λ = 1
+    return got
 
 
 def _k_of(pdf):
     return max(1, int(pdf.bias.max()).bit_length())
 
 
-class TestMaxBits:
-    def test_matches_local(self, edges, edges_pdf):
-        assert max_bits(edges) == _k_of(edges_pdf)
+def sub_bias_frame(stores) -> pd.DataFrame:
+    """Eq. 3 as the stores hold it: one (src, dst, k, sub_bias) row per
+    edge and radix group the edge is a member of. A dense group keeps no
+    member list; its members are the indices its rejection test accepts."""
+    rows = []
+    for st in stores:
+        for u, dst, _ in st.items():
+            v = st._v[u]
+            for k, kind in v.group_kinds().items():
+                g = v.group(k)
+                if kind == KIND_DENSE:
+                    members = np.nonzero((v.int_bias_view() >> k) & 1)[0]
+                else:
+                    members = g.members_array()
+                assert len(members) == g.size
+                rows += [(u, int(dst[i]), k, 1 << k) for i in members]
+    return pd.DataFrame(rows, columns=["src", "dst", "k", "sub_bias"])
 
 
 class TestRadixDecompose:
-    def test_oracle(self, edges, edges_pdf):
-        K = _k_of(edges_pdf)
-        got = radix_decompose(edges).select("src", "dst", "k", "sub_bias")
+    def test_subbias_sums_reconstruct_bias(self, stores, edges_pdf):
+        got = sub_bias_frame(stores).groupby(["src", "dst"], as_index=False).sub_bias.sum()
         assert_equivalent(
-            got,
-            f"""
-            SELECT e.src AS src, e.dst AS dst, t.k AS k,
-                   CAST(1 << t.k AS BIGINT) AS sub_bias
-            FROM edges e, (SELECT UNNEST(range(0, {K})) AS k) t
-            WHERE (e.bias >> t.k) & 1 = 1
-            """,
-            edges=edges_pdf,
+            got, "SELECT src, dst, bias AS sub_bias FROM edges", edges=edges_pdf
         )
 
-    def test_subbias_sums_reconstruct_bias(self, spark, edges):
-        from pyspark.sql import functions as F
-
-        recon = (
-            radix_decompose(edges)
-            .groupBy("src", "dst", "bias")
-            .agg(F.sum("sub_bias").alias("s"))
-            .where(F.col("s") != F.col("bias"))
-        )
-        assert recon.count() == 0
-
-    def test_paper_example(self, spark):
+    def test_paper_example(self):
+        # Fig. 4: vertex 2 with biases {5, 4, 3} towards {1, 4, 5}.
         pdf = pd.DataFrame({"src": [2, 2, 2], "dst": [1, 4, 5], "bias": [5, 4, 3]})
-        rows = (
-            radix_decompose(spark.createDataFrame(pdf))
-            .orderBy("dst", "k")
-            .collect()
-        )
-        got = [(r["dst"], r["k"], r["sub_bias"]) for r in rows]
-        assert got == [(1, 0, 1), (1, 2, 4), (4, 2, 4), (5, 0, 1), (5, 1, 2)]
+        got = sub_bias_frame([BingoStore(pdf)]).sort_values(["dst", "k"])
+        assert list(got[["dst", "k", "sub_bias"]].itertuples(index=False, name=None)) == [
+            (1, 0, 1), (1, 2, 4), (4, 2, 4), (5, 0, 1), (5, 1, 2)
+        ]
 
 
 class TestGroupWeights:
-    def test_oracle(self, edges, edges_pdf):
+    def test_oracle(self, groups, edges_pdf):
         K = _k_of(edges_pdf)
-        got = group_weights(edges)
         assert_equivalent(
-            got,
+            groups[["src", "k", "w", "cnt"]],
             f"""
             SELECT e.src AS src, t.k AS k,
                    SUM(CAST(1 << t.k AS BIGINT)) AS w,
@@ -91,42 +112,18 @@ class TestGroupWeights:
             edges=edges_pdf,
         )
 
-    def test_matches_core_bits(self, spark, edges_pdf):
-        # Spark's Eq. 4 equals core.bits.group_weights per vertex.
-        sample = edges_pdf[edges_pdf.src == edges_pdf.src.iloc[0]]
-        sdf = spark.createDataFrame(sample)
-        got = {
-            (r["k"]): r["w"]
-            for r in group_weights(sdf).collect()
-        }
-        W = bits.group_weights(sample.bias.to_numpy())
-        for k, w in enumerate(W):
-            if w:
-                assert got[k] == w
-
-    def test_weight_totals_equal_bias_totals(self, spark, edges, edges_pdf):
-        from pyspark.sql import functions as F
-
-        tot = group_weights(edges).agg(F.sum("w")).collect()[0][0]
-        assert tot == edges_pdf.bias.sum()
+    def test_weight_totals_equal_bias_totals(self, groups, edges_pdf):
+        assert groups.w.sum() == edges_pdf.bias.sum()
+        per_src = groups.groupby("src").w.sum()
+        truth = edges_pdf.groupby("src").bias.sum()
+        pd.testing.assert_series_equal(per_src, truth, check_dtype=False, check_names=False)
 
 
 class TestInterGroupProbs:
-    def test_probs_sum_to_one(self, spark, edges):
-        from pyspark.sql import functions as F
-
-        sums = (
-            inter_group_probs(edges)
-            .groupBy("src")
-            .agg(F.sum("p").alias("s"))
-            .where(F.abs(F.col("s") - 1.0) > 1e-9)
-        )
-        assert sums.count() == 0
-
-    def test_oracle(self, edges, edges_pdf):
+    def test_oracle(self, groups, edges_pdf):
         K = _k_of(edges_pdf)
         assert_equivalent(
-            inter_group_probs(edges),
+            groups[["src", "k", "p"]],
             f"""
             WITH gw AS (
               SELECT e.src AS src, t.k AS k,
@@ -142,74 +139,22 @@ class TestInterGroupProbs:
 
 
 class TestClassifyGroups:
-    def test_oracle(self, edges, edges_pdf):
-        K = _k_of(edges_pdf)
+    def test_oracle(self, groups, edges_pdf):
         assert_equivalent(
-            classify_groups(edges),
-            f"""
-            WITH gw AS (
-              SELECT e.src AS src, t.k AS k, COUNT(*) AS cnt
-              FROM edges e, (SELECT UNNEST(range(0, {K})) AS k) t
-              WHERE (e.bias >> t.k) & 1 = 1
-              GROUP BY e.src, t.k
-            ), deg AS (
-              SELECT src, COUNT(*) AS d FROM edges GROUP BY src
-            )
-            SELECT gw.src AS src, gw.k AS k, gw.cnt AS cnt, deg.d AS d,
-                   CASE WHEN gw.cnt * 100.0 / deg.d > 40 THEN 'dense'
-                        WHEN gw.cnt = 1 THEN 'one_element'
-                        WHEN gw.cnt * 100.0 / deg.d < 10 THEN 'sparse'
-                        ELSE 'regular' END AS kind
-            FROM gw JOIN deg ON gw.src = deg.src
-            """,
+            groups[["src", "k", "cnt", "d", "kind"]],
+            CLASSIFY_SQL.format(K=_k_of(edges_pdf)),
             edges=edges_pdf,
         )
 
-    def test_matches_bingo_store_census(self, spark, edges_pdf):
-        # The relational Eq. 9 census equals the in-store group kinds.
-        from collections import Counter
-
-        from repro.core import BingoStore
-
-        sub = edges_pdf.head(800)
-        got = Counter(
-            r["kind"]
-            for r in classify_groups(spark.createDataFrame(sub)).collect()
-        )
-        st = BingoStore(sub)
-        hist = st.group_kind_histogram()
-        assert got == Counter(dict(hist))
-
-
-class TestDegreeAndUpdates:
-    def test_degree_oracle(self, edges, edges_pdf):
-        assert_equivalent(
-            degree_table(edges),
-            "SELECT src AS src, COUNT(*) AS deg FROM edges GROUP BY src",
-            edges=edges_pdf,
-        )
-
-    def test_update_stream_oracle(self, spark, edges_pdf):
-        plan = make_update_plan(edges_pdf, batch_size=50, n_batches=4,
-                                mode="mixed", seed=21)
-        updates = pd.concat(plan.batches, ignore_index=True)
-        got = apply_update_stream(
-            spark.createDataFrame(plan.initial),
-            spark.createDataFrame(updates),
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT src, dst, bias FROM (
-              SELECT src, dst, bias FROM initial
-              UNION ALL
-              SELECT src, dst, bias FROM updates WHERE op = 1
-            ) u
-            WHERE NOT EXISTS (
-              SELECT 1 FROM updates d
-              WHERE d.op = -1 AND d.src = u.src AND d.dst = u.dst
-            )
-            """,
-            initial=plan.initial,
-            updates=updates,
-        )
+    def test_matches_bingo_store_census(self, stores, edges_pdf):
+        # The relational Eq. 9 census equals the group kinds of the
+        # Spark partitions and of one local store over the same edges.
+        sql = f"SELECT kind, COUNT(*) AS n FROM ({CLASSIFY_SQL}) GROUP BY kind"
+        with duckdb.connect() as con:
+            con.register("edges", edges_pdf)
+            rows = con.execute(sql.format(K=_k_of(edges_pdf))).fetchall()
+        want = Counter(dict(rows))
+        assert set(want) == {"dense", "one_element", "sparse", "regular"}
+        spark_hist = sum((st.group_kind_histogram() for st in stores), Counter())
+        assert spark_hist == want
+        assert BingoStore(edges_pdf).group_kind_histogram() == want
