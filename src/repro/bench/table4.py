@@ -4,8 +4,9 @@ The paper runs mixed updates on LiveJournal and reports, for every
 (from-kind, to-kind) pair, how rarely groups convert between adaptive
 representations — all ratios below 0.47%, which is why the §5.2 rebuild
 step stays cheap. We replay the same workload on LJ-lite through the
-batched path and report conversions normalized by the number of
-update events that touched a group of the source kind.
+batched path and report conversions as a percentage of the initial
+census of the source kind: the groups of that kind before the update
+stream.
 """
 from __future__ import annotations
 

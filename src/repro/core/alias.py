@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler_api import VertexSampler
+from .sampler_api import WeightArraySampler
 
 
 class AliasTable:
@@ -68,46 +68,22 @@ class AliasTable:
         return self.prob.nbytes + self.alias.nbytes
 
 
-class AliasSampler(VertexSampler):
+class AliasSampler(WeightArraySampler):
     """Per-vertex alias sampler with rebuild-on-update (Table 1 row 2)."""
 
     name = "alias"
 
-    def __init__(self, biases) -> None:
-        self._w = np.asarray(biases, dtype=np.float64).copy()
-        self._rebuild()
+    def _build(self) -> None:
+        self._table = AliasTable(self._w.view()) if len(self._w) else None
 
-    def _rebuild(self) -> None:
+    def _on_insert(self, bias: float) -> None:
         """O(d) rebuild on every update — the paper's point."""
-        self._table = AliasTable(self._w) if len(self._w) else None
+        self._build()
 
-    @property
-    def degree(self) -> int:
-        return len(self._w)
+    _on_delete = _on_insert
 
-    @property
-    def total_weight(self) -> float:
-        return float(self._w.sum())
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        if self._table is None:
-            raise ValueError("sampling from an empty vertex")
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._table.sample(rng, size)
-
-    def insert(self, bias) -> int:
-        self._w = np.append(self._w, float(bias))
-        self._rebuild()
-        return len(self._w) - 1
-
-    def delete(self, index: int) -> None:
-        if not 0 <= index < len(self._w):
-            raise IndexError(index)
-        self._w[index] = self._w[-1]
-        self._w = self._w[:-1]
-        self._rebuild()
-
-    def weight_of(self, index: int) -> float:
-        return float(self._w[index])
 
     @property
     def nbytes(self) -> int:

@@ -18,7 +18,7 @@ import pandas as pd
 
 from ..graphs.updates import OP_DELETE, OP_INSERT
 from .bingo_vertex import BingoVertex
-from .bits import exact_float
+from .bits import check_bias
 
 
 def resolve_net_effects(has_edge, batch: pd.DataFrame):
@@ -33,7 +33,8 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
     / [dst] lists, each bias a float64. Raises before anything changes:
     ``KeyError`` on deleting an edge that is absent at that point of the
     stream or inserting one that is present, ``ValueError`` on a bias
-    that is not positive (NaN included) or that float64 would round.
+    that is not finite and positive (NaN included) or that float64 would
+    round.
     """
     # (src, dst) -> (present before the batch, present now, bias); the
     # store is unchanged until the batch is applied, so one probe per edge.
@@ -48,10 +49,7 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
         if op == OP_INSERT:
             if present:
                 raise KeyError(f"insert of existing edge {key}")
-            bias = exact_float(bias)
-            if not bias > 0:  # also rejects NaN
-                raise ValueError(f"bias {bias} of edge {key} must be positive")
-            state[key] = (was, True, bias)
+            state[key] = (was, True, check_bias(bias))
         elif op == OP_DELETE:
             if not present:
                 raise KeyError(f"delete of missing edge {key}")

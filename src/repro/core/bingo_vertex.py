@@ -1,12 +1,13 @@
 """Per-vertex BINGO sampling structure (paper §4, §5.1).
 
-One ``BingoVertex`` holds a vertex's λ-split biases (integer and decimal
-parts, Hornet-style dynamic arrays), its radix groups keyed by bit
-position, the optional decimal group of the floating-point scheme, and
-the inter-group alias table. It knows no destination ids: like every
-``VertexSampler`` it works on adjacency indices in [0, d), and the
-owning store maps drawn indices to destinations through its adjacency
-row (``graphs.dynamic_graph``). It implements:
+One ``BingoVertex`` holds the integer parts of a vertex's λ-scaled
+biases (a Hornet-style dynamic array), its radix groups keyed by bit
+position, the optional decimal group of the floating-point scheme (the
+only copy of the decimal parts), and the inter-group alias table. It
+knows no destination ids: like every ``VertexSampler`` it works on
+adjacency indices in [0, d), and the owning store maps drawn indices to
+destinations through its adjacency row (``graphs.dynamic_graph``). It
+implements:
 
 - hierarchical O(1) sampling (inter-group alias → intra-group unbiased,
   Eq. 5-7);
@@ -55,10 +56,7 @@ class BingoVertex(VertexSampler):
     name = "bingo"
 
     def __init__(self, biases, *, adaptive: bool = True) -> None:
-        bits.check_exact_floats(biases)
-        raw = np.asarray(biases, dtype=np.float64)
-        if not (raw > 0).all():  # also rejects NaN
-            raise ValueError("biases must be positive")
+        raw = bits.check_biases(biases)
         self.adaptive = adaptive
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
@@ -66,13 +64,12 @@ class BingoVertex(VertexSampler):
         self.lam = bits.choose_lambda(raw)
         ints, fracs = bits.float_split(raw, self.lam)
         self._ints = DynArray.from_values(ints, dtype=np.int64)
-        self._fracs = DynArray.from_values(fracs, dtype=np.float64)
 
         self._groups: dict = {}
         self._decimal: DecimalGroup | None = None
         self._inter: AliasTable | None = None
         self._inter_keys: list = []
-        self._build_groups()
+        self._build_groups(fracs)
 
     # -- construction -------------------------------------------------------
 
@@ -81,10 +78,9 @@ class BingoVertex(VertexSampler):
             return "regular"
         return classify(size, self.degree)
 
-    def _build_groups(self) -> None:
-        """(Re)build all groups from the current bias arrays — O(d·K)."""
-        self._groups.clear()
-        self._decimal = None
+    def _build_groups(self, fracs: np.ndarray) -> None:
+        """Build all groups from the integer parts and the decimal parts
+        ``fracs`` — O(d·K)."""
         ints = self._ints.view()
         d = len(ints)
         if d == 0:
@@ -97,10 +93,9 @@ class BingoVertex(VertexSampler):
                 self._groups[k] = make_group(
                     self._classify(len(members)), k, members, d
                 )
-        fr = self._fracs.view()
-        dec = np.nonzero(fr > 0)[0]
+        dec = np.nonzero(fracs > 0)[0]
         if len(dec):
-            self._decimal = DecimalGroup(dec, fr[dec])
+            self._decimal = DecimalGroup(dec, fracs[dec])
         self._rebuild_inter()
 
     def _rebuild_inter(self) -> None:
@@ -125,7 +120,8 @@ class BingoVertex(VertexSampler):
 
     def weight_of(self, index: int) -> float:
         """Effective (λ-scaled) sampling weight of adjacency index."""
-        return float(self._ints[index]) + float(self._fracs[index])
+        frac = self._decimal.frac_of(index) if self._decimal is not None else 0.0
+        return float(self._ints[index]) + frac
 
     @property
     def total_weight(self) -> float:
@@ -238,14 +234,11 @@ class BingoVertex(VertexSampler):
 
     def _insert_edge(self, bias) -> int:
         """Intra-group part of insertion; caller must ``_finalize_update``."""
-        bias = bits.exact_float(bias)
-        if not bias > 0:  # also rejects NaN
-            raise ValueError("bias must be positive")
+        bias = bits.check_bias(bias)
         if self.degree == 0:
             self.lam = bits.choose_lambda([bias])  # free: every group is empty
         ip, frac = self._split_bias(bias)
         idx = self._ints.append(ip)
-        self._fracs.append(frac)
         for k in bits.bit_positions(ip):
             self._group_insert(k, idx)
         if frac > 0:
@@ -265,18 +258,18 @@ class BingoVertex(VertexSampler):
             g.delete(idx)
             if g.kind == KIND_ONE or g.size == 0:
                 del self._groups[k]
-        if self._fracs[idx] > 0:
-            self._decimal.delete(idx)
-            if self._decimal.size == 0:
-                self._decimal = None
+        dec = self._decimal
+        if dec is not None and idx in dec.inv:
+            dec.delete(idx)
+            if dec.size == 0:
+                self._decimal = dec = None
         last = self.degree - 1
         if idx != last:
             for k in bits.bit_positions(int(self._ints[last])):
                 self._groups[k].replace_index(last, idx)
-            if self._fracs[last] > 0:
-                self._decimal.replace_index(last, idx)
+            if dec is not None and last in dec.inv:
+                dec.replace_index(last, idx)
         self._ints.pop_swap(idx)
-        self._fracs.pop_swap(idx)
 
     def _finalize_update(self) -> None:
         """Reclassify + rebuild the inter-group table — once per streaming
@@ -301,11 +294,10 @@ class BingoVertex(VertexSampler):
     @property
     def nbytes(self) -> int:
         """Sampling-structure bytes: groups + inverted indices + inter table
-        + the λ-split arrays (the fraction array only while a decimal group
-        exists)."""
+        + the integer-part array (decimal parts live in the decimal group)."""
         n = sum(g.nbytes for g in self._groups.values())
         if self._decimal is not None:
-            n += self._decimal.nbytes + self._fracs.nbytes
+            n += self._decimal.nbytes
         if self._inter is not None:
             n += self._inter.nbytes + 8 * len(self._inter_keys)
         return n + self._ints.nbytes
@@ -316,7 +308,6 @@ class BingoVertex(VertexSampler):
         """Assert the structure matches a from-scratch reconstruction."""
         ints = self._ints.view()
         d = self.degree
-        assert len(self._fracs) == d
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
         for k in range(K):
             expect = bits.group_members(ints, k)
@@ -330,14 +321,16 @@ class BingoVertex(VertexSampler):
                 assert g.kind == self._classify(g.size), f"group 2^{k} kind stale"
             if g.kind != KIND_DENSE:
                 np.testing.assert_array_equal(g.members_array(), expect)
-        fr = self._fracs.view()
-        dec = np.nonzero(fr > 0)[0]
-        if len(dec) == 0:
-            assert self._decimal is None
-        else:
-            assert self._decimal is not None
-            np.testing.assert_array_equal(self._decimal.members_array(), dec)
-            assert abs(self._decimal.weight() - fr[dec].sum()) < 1e-9 * max(1, d)
+        # The decimal group: an inverted index that matches its members,
+        # which are distinct indices in [0, d), each with a decimal part in
+        # (0, 1). ``BingoStore.check_invariants`` checks the parts' values.
+        dec = self._decimal
+        if dec is not None:
+            m, fr = dec.members.view(), dec.fracs.view()
+            assert dec.inv == {int(x): p for p, x in enumerate(m)}
+            assert 0 < len(m) == len(fr) and ((0 <= m) & (m < d)).all()
+            assert ((0 < fr) & (fr < 1)).all() and dec._max >= fr.max()
+            assert abs(dec.weight() - fr.sum()) < 1e-9 * max(1, d)
         # Inter-group weights match Eq. 4 recomputed from scratch.
         if d:
             W = bits.group_weights(ints)

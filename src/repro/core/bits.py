@@ -7,6 +7,8 @@ floating-point amortization-factor machinery of §4.3.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Integer parts must stay below this to fit the int64 bias arrays.
@@ -57,38 +59,44 @@ def group_members(biases, k: int) -> np.ndarray:
 # --- floating-point biases (§4.3) --------------------------------------------
 
 
-def exact_float(bias) -> float:
-    """``bias`` as a float64; an integer bias that float64 would round
-    raises ``ValueError``. Compares as Python ints: numpy compares an
-    int64 with a float64 in float64, where 2**53 + 1 equals 2**53."""
+def check_bias(bias) -> float:
+    """``bias`` as a float64; raises ``ValueError`` unless it is finite
+    and positive, and for an integer bias that float64 would round.
+    Compares as Python ints: numpy compares an int64 with a float64 in
+    float64, where 2**53 + 1 equals 2**53."""
     f = float(bias)
+    if not 0 < f < math.inf:  # also rejects NaN
+        raise ValueError(f"bias {bias} must be finite and positive")
     if isinstance(bias, (int, np.integer)) and int(f) != int(bias):
         raise ValueError(f"integer bias {bias} has no exact float64")
     return f
 
 
-def check_exact_floats(biases) -> None:
-    """``exact_float`` over a bias column: one vectorized compare, then
-    only the integers of magnitude above 2**53 are checked one by one."""
+def check_biases(biases) -> np.ndarray:
+    """``check_bias`` over a bias column, returned as float64: one
+    vectorized range test, then only the integers of magnitude above
+    2**53 are checked one by one."""
     b = np.asarray(biases)
     if b.dtype.kind in "iu":
         for x in b[np.abs(b) > _FLOAT64_EXACT]:
-            exact_float(x)
+            check_bias(x)
+    w = np.asarray(b, dtype=np.float64)
+    if not ((w > 0) & (w < np.inf)).all():  # also rejects NaN
+        raise ValueError("biases must be finite and positive")
+    return w
 
 
 def float_split(biases, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale by the amortization factor λ and split into int + decimal parts.
 
     Returns (integer_parts, decimal_parts) with
-    ``integer_parts + decimal_parts == biases * lam`` elementwise.
+    ``integer_parts + decimal_parts == biases * lam`` elementwise, for
+    biases that ``check_biases`` accepts.
     """
     scaled = np.asarray(biases, dtype=np.float64) * lam
     ints = np.floor(scaled)
-    if len(scaled):
-        if scaled.min() < 0:
-            raise ValueError("biases must be non-negative")
-        if ints.max() >= INT64_LIMIT:
-            raise ValueError(f"a bias at λ={lam} overflows int64")
+    if len(scaled) and ints.max() >= INT64_LIMIT:
+        raise ValueError(f"a bias at λ={lam} overflows int64")
     return ints.astype(np.int64), scaled - ints
 
 

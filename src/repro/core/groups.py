@@ -19,12 +19,14 @@ Adaptive representations (Eq. 9, α=40, β=10):
   index array, the §4.2 baseline structure.
 
 Regular, sparse and decimal groups support O(1) ``insert``/``delete``
-(via the inverted index + delete-and-swap); a one-element group cannot
-grow, so the owning vertex re-creates it. Every group has O(1)
-``replace_index`` so the owning vertex can follow the index its
-adjacency row's swap-deletion moved. ``BingoVertex.sample`` inlines the
-vectorized draw of regular, sparse and one-element groups; dense and
-decimal groups draw by rejection in their own ``sample``.
+(via the inverted index + delete-and-swap); the decimal group is a
+sparse group that also keeps its members' fractional weights. A
+one-element group cannot grow, so the owning vertex re-creates it.
+Every group has O(1) ``replace_index`` so the owning vertex can follow
+the index its adjacency row's swap-deletion moved.
+``BingoVertex.sample`` inlines the vectorized draw of regular, sparse
+and one-element groups; dense and decimal groups draw by rejection in
+their own ``sample``.
 """
 from __future__ import annotations
 
@@ -269,59 +271,49 @@ class DenseGroup:
         return 8
 
 
-class DecimalGroup:
+class DecimalGroup(SparseGroup):
     """The single fractional-parts group of the float-bias scheme (§4.3).
 
-    Members carry heterogeneous weights (their decimal parts after λ
-    scaling), so intra-group sampling is rejection against a tracked
-    upper bound, as the paper prescribes ("adopt ITS or rejection").
+    A sparse group whose members also carry their decimal parts after λ
+    scaling, at the same positions: the only copy of those parts. The
+    weights are heterogeneous, so intra-group sampling is rejection
+    against a tracked upper bound, as the paper prescribes ("adopt ITS
+    or rejection").
     """
 
     kind = KIND_DECIMAL
-    k = -1  # sentinel: not a radix position
-
-    __slots__ = ("members", "fracs", "inv", "_total", "_max")
+    __slots__ = ("fracs", "_total", "_max")
 
     def __init__(self, members, fracs):
-        members = np.asarray(members, dtype=np.int64)
-        fracs = np.asarray(fracs, dtype=np.float64)
-        self.members = DynArray.from_values(members, dtype=np.int64)
+        super().__init__(-1, members)  # k = -1: not a radix position
         self.fracs = DynArray.from_values(fracs, dtype=np.float64)
-        self.inv = {int(v): p for p, v in enumerate(members)}
-        self._total = float(fracs.sum())
-        self._max = float(fracs.max(initial=0.0))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
+        self._total = float(self.fracs.view().sum())
+        self._max = float(self.fracs.view().max(initial=0.0))
 
     def weight(self) -> float:
         return self._total
 
+    def frac_of(self, idx: int) -> float:
+        """The decimal part of adjacency index ``idx`` (0 if none)."""
+        pos = self.inv.get(idx)
+        return 0.0 if pos is None else float(self.fracs._buf[pos])
+
     def insert(self, idx: int, frac: float) -> None:
-        pos = self.members.append(idx)
+        super().insert(idx)
         self.fracs.append(frac)
-        self.inv[idx] = pos
         self._total += frac
         self._max = max(self._max, frac)
 
     def delete(self, idx: int) -> None:
-        pos = self.inv.pop(idx)
+        pos = self.inv[idx]
         gone = float(self.fracs[pos])
-        moved = self.members.pop_swap(pos)
+        super().delete(idx)
         self.fracs.pop_swap(pos)
-        if moved is not None:
-            self.inv[int(moved)] = pos
         self._total -= gone
         # A stale (too-large) max only raises the rejection rate, never
         # biases the draw; refresh when the max itself left.
         if gone >= self._max:
             self._max = float(self.fracs.view().max(initial=0.0))
-
-    def replace_index(self, old: int, new: int) -> None:
-        pos = self.inv.pop(old)
-        self.members[pos] = new
-        self.inv[new] = pos
 
     def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
         m, f = self.members.view(), self.fracs.view()
@@ -336,12 +328,9 @@ class DecimalGroup:
                 return int(m[pos])
         raise RuntimeError("decimal-group rejection failed to converge")
 
-    def members_array(self) -> np.ndarray:
-        return np.sort(self.members.view().copy())
-
     @property
     def nbytes(self) -> int:
-        return self.members.nbytes + self.fracs.nbytes + _DICT_ENTRY_BYTES * len(self.inv)
+        return super().nbytes + self.fracs.nbytes
 
 
 _GROUP_CLASSES = {

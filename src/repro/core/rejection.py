@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynarray import DynArray
-from .sampler_api import VertexSampler
+from .sampler_api import WeightArraySampler
 
 _MAX_ROUNDS = 10_000
 
@@ -36,54 +35,27 @@ def rejection_draw(rng: np.random.Generator, weights: np.ndarray, max_w: float,
     raise RuntimeError("rejection sampling failed to converge; check weights")
 
 
-class RejectionSampler(VertexSampler):
+class RejectionSampler(WeightArraySampler):
     name = "rejection"
 
-    def __init__(self, biases) -> None:
-        w = np.asarray(biases, dtype=np.float64)
-        if (w < 0).any():
-            raise ValueError("biases must be non-negative")
-        if len(w) and w.max() <= 0:
-            raise ValueError("at least one positive bias required")
-        self._w = DynArray(dtype=np.float64)
-        self._w.extend(w)
+    def _build(self) -> None:
+        w = self._w.view()
         self._max = float(w.max(initial=0.0))
         self._total = float(w.sum())
 
-    @property
-    def degree(self) -> int:
-        return len(self._w)
+    def _on_insert(self, bias: float) -> None:
+        self._max = max(self._max, bias)
+        self._total += bias
+
+    def _on_delete(self, bias: float) -> None:
+        """O(d) when the deleted bias was the max (rescan)."""
+        self._total -= bias
+        if bias >= self._max:
+            self._max = float(self._w.view().max(initial=0.0))
 
     @property
     def total_weight(self) -> float:
         return self._total
 
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        if not len(self._w):
-            raise ValueError("sampling from an empty vertex")
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rejection_draw(rng, self._w.view(), self._max, size)
-
-    def insert(self, bias) -> int:
-        b = float(bias)
-        self._w.append(b)
-        self._max = max(self._max, b)
-        self._total += b
-        return len(self._w) - 1
-
-    def delete(self, index: int) -> None:
-        """Swap-delete; O(d) when the deleted bias was the max (rescan)."""
-        if not 0 <= index < len(self._w):
-            raise IndexError(index)
-        gone = float(self._w[index])
-        self._w.pop_swap(index)
-        self._total -= gone
-        if gone >= self._max:
-            view = self._w.view()
-            self._max = float(view.max(initial=0.0))
-
-    def weight_of(self, index: int) -> float:
-        return float(self._w[index])
-
-    @property
-    def nbytes(self) -> int:
-        return self._w.nbytes

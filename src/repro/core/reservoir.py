@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynarray import DynArray
-from .sampler_api import VertexSampler
+from .sampler_api import WeightArraySampler
 
 # Bound the (draws x degree) scratch matrix of the vectorized scan.
 _CHUNK_CELLS = 4_000_000
@@ -36,38 +35,10 @@ def reservoir_draw(rng: np.random.Generator, weights: np.ndarray, size: int) -> 
     return out
 
 
-class ReservoirSampler(VertexSampler):
+class ReservoirSampler(WeightArraySampler):
+    """Keeps nothing beyond the weights, so an update is only the swap."""
+
     name = "reservoir"
 
-    def __init__(self, biases) -> None:
-        w = np.asarray(biases, dtype=np.float64)
-        if (w < 0).any():
-            raise ValueError("biases must be non-negative")
-        self._w = DynArray(dtype=np.float64)
-        self._w.extend(w)
-
-    @property
-    def degree(self) -> int:
-        return len(self._w)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self._w.view().sum())
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        if not len(self._w):
-            raise ValueError("sampling from an empty vertex")
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return reservoir_draw(rng, self._w.view(), size)
-
-    def insert(self, bias) -> int:
-        return self._w.append(float(bias))
-
-    def delete(self, index: int) -> None:
-        self._w.pop_swap(index)
-
-    def weight_of(self, index: int) -> float:
-        return float(self._w[index])
-
-    @property
-    def nbytes(self) -> int:
-        return self._w.nbytes

@@ -10,12 +10,19 @@ returns/accepts *adjacency indices* in ``[0, d)``. ``delete(i)`` removes
 index ``i`` with swap-with-tail semantics — after the call, the former
 tail index ``d-1`` is renamed to ``i`` (matching ``DynArray.pop_swap``
 on the adjacency itself), so the sampler and the adjacency stay aligned.
+
+Every method rejects a bias that is not finite and positive, at build
+and at insert. The Table 1 baselines share ``WeightArraySampler``'s raw
+weight array and differ only in their draw and their update rule.
 """
 from __future__ import annotations
 
 import abc
 
 import numpy as np
+
+from .bits import check_bias, check_biases
+from .dynarray import DynArray
 
 
 class VertexSampler(abc.ABC):
@@ -59,3 +66,61 @@ class VertexSampler(abc.ABC):
     @abc.abstractmethod
     def nbytes(self) -> int:
         """Bytes held by the sampling structure (Table 1 memory column)."""
+
+
+class WeightArraySampler(VertexSampler):
+    """A Table 1 baseline over the raw weight array.
+
+    The base owns the weights, their validation, the empty-vertex check
+    and swap-with-tail updates; a subclass supplies ``_draw`` and, as
+    its Table 1 update rule, the ``_build``/``_on_insert``/``_on_delete``
+    hooks, which run after the weight array changed."""
+
+    def __init__(self, biases) -> None:
+        self._w = DynArray(dtype=np.float64)
+        self._w.extend(check_biases(biases))
+        self._build()
+
+    def _build(self) -> None:
+        """Derive the sampling structure from the weights."""
+
+    def _on_insert(self, bias: float) -> None:
+        """Follow the append of ``bias``."""
+
+    def _on_delete(self, bias: float) -> None:
+        """Follow the swap-delete of ``bias``."""
+
+    @abc.abstractmethod
+    def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``sample`` on a non-empty vertex."""
+
+    @property
+    def degree(self) -> int:
+        return len(self._w)
+
+    @property
+    def total_weight(self) -> float:
+        return float(self._w.view().sum())
+
+    def weight_of(self, index: int) -> float:
+        return float(self._w[index])
+
+    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        if not len(self._w):
+            raise ValueError("sampling from an empty vertex")
+        return self._draw(rng, size)
+
+    def insert(self, bias) -> int:
+        b = check_bias(bias)
+        idx = self._w.append(b)
+        self._on_insert(b)
+        return idx
+
+    def delete(self, index: int) -> None:
+        gone = float(self._w[index])  # IndexError when out of range
+        self._w.pop_swap(index)
+        self._on_delete(gone)
+
+    @property
+    def nbytes(self) -> int:
+        return self._w.nbytes

@@ -45,14 +45,8 @@ class BingoStore:
         """Vertex ids with at least one out-edge (walker start points)."""
         return self.adj.vertices()
 
-    def out_degree(self, u: int) -> int:
-        return self.adj.out_degree(u)
-
     def has_edge(self, u: int, dst: int) -> bool:
         return self.adj.has_edge(u, dst)
-
-    def num_edges(self) -> int:
-        return self.adj.num_edges()
 
     def items(self):
         """Yield (vertex, dst view, raw-bias view) for non-empty vertices."""

@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.batched import resolve_net_effects
-from ..core.bits import check_exact_floats
+from ..core.bits import check_biases
 from ..core.dynarray import DynArray
 
 _POS_ENTRY_BYTES = 16
@@ -85,9 +85,10 @@ class Adjacency:
 
     @classmethod
     def from_edges(cls, edges: pd.DataFrame) -> "Adjacency":
-        """Build from an edge frame; duplicate (src, dst) pairs and
-        integer biases that float64 would round raise."""
-        check_exact_floats(edges["bias"])
+        """Build from an edge frame; duplicate (src, dst) pairs, biases
+        that are not finite and positive, and integer biases that float64
+        would round raise ``ValueError``."""
+        check_biases(edges["bias"])
         adj = cls()
         for u, dsts, biases in split_by_src(edges):
             adj.rows[u] = _VertexAdj(dsts, biases)

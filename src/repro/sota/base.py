@@ -54,12 +54,6 @@ class StaticRebuildStore(abc.ABC):
     def has_edge(self, u: int, dst: int) -> bool:
         return self.adj.has_edge(u, dst)
 
-    def out_degree(self, u: int) -> int:
-        return self.adj.out_degree(u)
-
-    def num_edges(self) -> int:
-        return self.adj.num_edges()
-
     def edges(self) -> pd.DataFrame:
         return self.adj.edges()
 

@@ -289,7 +289,7 @@ class TestFloatBias:
                 ref.append(b)
                 v.insert(b)
             v.check_invariants()
-        np.testing.assert_allclose(weights(v), np.array(ref) * v.lam, rtol=1e-12)
+            np.testing.assert_allclose(weights(v), np.array(ref) * v.lam, rtol=1e-12)
         if ref:
             probs = np.array(ref)
             assert_distribution(v.sample(rng(9), 60_000), probs / probs.sum())

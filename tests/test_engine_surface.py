@@ -67,7 +67,12 @@ def test_dead_end(store):
     assert all(store.has_edge(u, v) for u, v in zip(live, out[len(sinks):]))
 
 
-@pytest.mark.parametrize("bad", [2**53 + 1, 0.0, np.nan], ids=["rounded", "zero", "nan"])
+BAD_BIASES = pytest.mark.parametrize(
+    "bad", [2**53 + 1, 0.0, np.nan, np.inf, -1.0],
+    ids=["rounded", "zero", "nan", "inf", "negative"])
+
+
+@BAD_BIASES
 @pytest.mark.parametrize("name", list(STORES))
 def test_failed_batch_changes_nothing(name, bad):
     """A batch with one bad bias raises before any edge changes: 0 -> 5
@@ -83,6 +88,15 @@ def test_failed_batch_changes_nothing(name, bad):
     hops = st.sample_next(rng(7), np.zeros(60_000, dtype=np.int64))
     assert set(np.unique(hops)) <= {1, 2}
     assert_distribution(hops - 1, [0.5, 0.5])
+
+
+@BAD_BIASES
+@pytest.mark.parametrize("name", list(STORES))
+def test_bad_bias_rejected_at_build(name, bad):
+    """No framework builds over a bias it could not draw by: 0 -> 1
+    (bias 1) next to 0 -> 2 (the bad bias) raises ``ValueError``."""
+    with pytest.raises(ValueError):
+        STORES[name](pd.DataFrame({"src": [0, 0], "dst": [1, 2], "bias": [1, bad]}))
 
 
 @pytest.mark.parametrize("name", list(STORES))

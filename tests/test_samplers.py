@@ -13,7 +13,7 @@ from repro.core import (
     RejectionSampler,
     ReservoirSampler,
 )
-from tests.util import assert_distribution, rng
+from tests.util import assert_distribution, rng, weights
 
 ALL_SAMPLERS = [AliasSampler, ITSampler, RejectionSampler, ReservoirSampler, BingoVertex]
 IDS = [c.name for c in ALL_SAMPLERS]
@@ -191,3 +191,18 @@ def test_empty_vertex(name):
             s.sample(rng(1), size)
     s.insert(5)
     assert (s.sample(rng(2), 4) == 0).all()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("name", list(METHODS))
+def test_bad_bias_rejected(name, bad):
+    """Every Table 1 method raises ValueError on a bias that is not finite
+    and positive, at build and at insert; a rejected insert changes
+    nothing."""
+    with pytest.raises(ValueError):
+        METHODS[name]([1.0, bad])
+    s = METHODS[name]([3.0, 5.0])
+    with pytest.raises(ValueError):
+        s.insert(bad)
+    assert weights(s) == [3.0, 5.0]
+    assert_distribution(s.sample(rng(12), N_DRAWS), [3 / 8, 5 / 8])
