@@ -22,7 +22,8 @@ implements:
   bias path: λ comes from the biases (``bits.choose_lambda``), and is 1
   for whole numbers, where no decimal group exists — the integer scheme
   is the float scheme at λ = 1. An empty vertex re-chooses λ from its
-  first insert; a non-empty one keeps its λ.
+  first insert; a non-empty one keeps its λ (``BingoStore.apply_batch``
+  rebuilds a vertex whose decimal mass passes 1/d).
 
 With ``adaptive=False`` every group uses the regular representation —
 the paper's "BS" baseline from Figures 11/13.

@@ -19,7 +19,7 @@ import pandas as pd
 from ..graphs import dynamic_graph
 from . import bits
 from .batched import apply_vertex_batch, resolve_net_effects
-from .bingo_vertex import BingoVertex
+from .bingo_vertex import DECIMAL_KEY, BingoVertex
 from .grouping import iter_vertex_groups
 
 
@@ -83,7 +83,8 @@ class BingoStore:
     # -- updates -------------------------------------------------------------
 
     def apply_batch(self, batch: pd.DataFrame) -> None:
-        """Batched path (§5.2): group by vertex, insert→delete→one rebuild.
+        """Batched path (§5.2): group by vertex, insert→delete→one rebuild,
+        then a new λ for a vertex whose decimal mass passed 1/d.
 
         The whole batch is validated before any vertex changes, so a
         batch that raises leaves the store as it was."""
@@ -99,7 +100,28 @@ class BingoStore:
             v = self._v.get(u)
             if v is None:
                 v = self._v[u] = BingoVertex([])
-            apply_vertex_batch(v, inserts.get(u, []), deletes.get(u, []), self.adj.row(u))
+            row = self.adj.row(u)
+            apply_vertex_batch(v, inserts.get(u, []), deletes.get(u, []), row)
+            self._readapt_lambda(u, row.bias.view())
+
+    def _readapt_lambda(self, u: int, biases: np.ndarray) -> None:
+        """Rebuild vertex ``u`` from its raw ``biases`` at a new λ when its
+        decimal group holds at least 1/d of the mass (the §4.4 bound has
+        lapsed), ``choose_lambda`` picks another λ, and that λ's split
+        fits int64. The rebuild keeps the conversion and touch counters.
+
+        It cannot raise, so a batch stays atomic: the biases passed the
+        batch's checks, and ``choose_lambda`` only tries a λ that could
+        overflow on vertices of degree above ~1e9."""
+        v = self._v[u]
+        dec = v.group(DECIMAL_KEY)
+        if dec is None or dec.weight() * v.degree < v.total_weight:
+            return
+        lam = bits.choose_lambda(biases)
+        if lam == v.lam or biases.max() * lam >= bits.INT64_LIMIT:
+            return
+        new = self._v[u] = BingoVertex(biases)
+        new.conversions, new.touches = v.conversions, v.touches
 
     # -- accounting ----------------------------------------------------------
 

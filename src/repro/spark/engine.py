@@ -13,10 +13,12 @@ maps device → Spark partition:
   path). The job broadcasts all partitions' blobs, and each task
   unpickles its own, updates it and returns it re-pickled;
 - walks advance in rounds: each round broadcasts all blobs the same
-  way, and an ``applyInPandas`` task steps every walker whose current
-  vertex it owns *for as long as the walk stays local*, emits one row
-  per move, and forwards each walker that crossed into another
-  partition to the next round (walker forwarding).
+  way, and an ``applyInPandas`` task runs the local engine's step loop
+  (``walk.engine.advance``) on the walkers whose current vertex it owns,
+  with ``stay`` set to its own partition, so each walker steps *for as
+  long as the walk stays local*. The task emits one row per move and
+  forwards each walker that crossed into another partition to the next
+  round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -34,6 +36,7 @@ from pyspark.sql import SparkSession
 from ..core.store import BingoStore
 from ..graphs.dynamic_graph import edge_frame
 from ..graphs.partition import partition_of
+from ..walk.engine import advance, check_walk
 
 _STATE_SCHEMA = "pid long, blob binary, verts array<long>"
 _SEGMENT_SCHEMA = "walker long, step long, vertex long, alive boolean"
@@ -156,14 +159,17 @@ class SparkBingoEngine:
 
         Returns a segment frame (walker, step, vertex), one row per
         visited position, sorted by (walker, step); reconstruct paths by
-        pivoting on (walker, step). Each Spark round advances walkers
-        until they leave their current partition, die at a dead end, hit
-        the stop coin, or finish. A task returns one ``alive=False`` row
-        per move it made and one ``alive=True`` row per walker it
-        forwards to another partition; the driver keeps the first kind
-        and re-dispatches the second. Every (round, partition) task draws
-        from its own RNG stream, in walker-id order.
+        pivoting on (walker, step). In each Spark round, one task per
+        partition runs ``walk.engine.advance`` on its walkers until they
+        leave the partition, die at a dead end, hit the stop coin, or
+        finish. A task returns one ``alive=False`` row per move it made
+        and one ``alive=True`` row per walker it forwards to another
+        partition; the driver keeps the first kind and re-dispatches the
+        second. Every (round, partition) task draws from its own RNG
+        stream, in walker-id order. Raises ``ValueError`` before any job
+        on ``length < 0`` or a ``stop_prob`` outside [0, 1].
         """
+        check_walk(length, stop_prob)
         starts = np.asarray(starts, dtype=np.int64)
         walkers = pd.DataFrame(
             {
@@ -176,7 +182,7 @@ class SparkBingoEngine:
         bc = self.spark.sparkContext.broadcast(self._state)
         n_parts = self.n_parts
 
-        def advance(key, part):
+        def forward(key, part):
             pid = int(key[0])
             part = part.sort_values("walker")
             wid = part["walker"].to_numpy()
@@ -185,27 +191,14 @@ class SparkBingoEngine:
             blob = bc.value.get(pid)
             if blob is None:  # no out-edges here: every walker is done
                 return _rows(wid, step, cur, [], False)
-            store = pickle.loads(blob)
             rng = np.random.default_rng((seed, int(part["round"].iloc[0]), pid))
             alive = np.ones(len(part), dtype=bool)
-            local = alive.copy()
-            moves = []
-            while True:
-                idx = np.nonzero(alive & local & (step < length))[0]
-                if len(idx) == 0:
-                    break
-                if stop_prob is not None:
-                    keep = rng.random(len(idx)) >= stop_prob
-                    alive[idx[~keep]] = False
-                    idx = idx[keep]
-                nxt = store.sample_next(rng, cur[idx])
-                moved = nxt >= 0
-                alive[idx[~moved]] = False  # dead end
-                idx = idx[moved]
-                cur[idx] = nxt[moved]
-                step[idx] += 1
-                moves.append(_rows(wid, step, cur, idx, False))
-                local[idx] = partition_of(cur[idx], n_parts) == pid
+            moves = [
+                _rows(wid, step, cur, idx, False)
+                for idx in advance(pickle.loads(blob), rng, cur, step, alive,
+                                   length=length, stop_prob=stop_prob,
+                                   stay=lambda c: partition_of(c, n_parts) == pid)
+            ]
             # A walker still alive short of ``length`` left the partition.
             crossed = np.nonzero(alive & (step < length))[0]
             return pd.concat(
@@ -223,7 +216,7 @@ class SparkBingoEngine:
                 res = (
                     self.spark.createDataFrame(pdf)
                     .groupBy("pid")
-                    .applyInPandas(advance, _SEGMENT_SCHEMA)
+                    .applyInPandas(forward, _SEGMENT_SCHEMA)
                     .toPandas()
                 )
                 segments.append(res.loc[~res["alive"], ["walker", "step", "vertex"]])

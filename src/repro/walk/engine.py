@@ -2,20 +2,22 @@
 "Bingo performs random walks in a step-by-step manner, where each step
 involves sampling to select the next node").
 
-The engine advances all walkers one step at a time; walkers that share a
-current vertex are drawn in one vectorized store call (the CPU analog of
-BINGO's per-vertex GPU kernels). Second-order (node2vec) walks use
-KnightKing's two-step approach, which the paper adopts (§7.3): sample
-from the static per-vertex space, then accept/reject against the history
-factor f(w, v) of Eq. 1 normalized by max(1/p, 1, 1/q).
+``advance`` is the one step loop under every walk, local or on Spark.
+Each walker has its own step counter, so walkers need not move in
+lockstep; at each inner step the walkers that share a current vertex
+are drawn in one vectorized store call (the CPU analog of BINGO's
+per-vertex GPU kernels). Second-order (node2vec) walks use KnightKing's
+two-step approach, which the paper adopts (§7.3): sample from the
+static per-vertex space, then accept/reject against the history factor
+f(w, v) of Eq. 1 normalized by max(1/p, 1, 1/q). A rejected walker
+stays put and proposes again at the next inner step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_MAX_SECOND_ORDER_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,10 @@ class Node2VecParams:
 
     p: float = 0.5
     q: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not (0 < self.p < math.inf and 0 < self.q < math.inf):
+            raise ValueError(f"p={self.p}, q={self.q} must be finite and positive")
 
     @property
     def fmax(self) -> float:
@@ -50,41 +56,56 @@ class WalkResult:
         return float((self.paths >= 0).sum(axis=1).mean() - 1.0)
 
 
-def _second_order_filter(
-    store,
-    rng: np.random.Generator,
-    prev: np.ndarray,
-    cur: np.ndarray,
-    cand: np.ndarray,
-    n2v: Node2VecParams,
-) -> np.ndarray:
-    """KnightKing-style rejection: accept candidate ``cand`` for walkers
-    at ``cur`` with previous vertex ``prev``; resample rejected walkers
-    until all accept. Returns the accepted next vertices."""
-    out = cand.copy()
-    pending = np.nonzero((prev >= 0) & (out >= 0))[0]
-    fmax = n2v.fmax
-    for _ in range(_MAX_SECOND_ORDER_ROUNDS):
-        if len(pending) == 0:
-            return out
-        c = out[pending]
-        f = np.ones(len(pending), dtype=np.float64)
-        back = c == prev[pending]
-        f[back] = 1.0 / n2v.p
-        # distance 1: candidate adjacent to the previous vertex.
-        rest = np.nonzero(~back)[0]
-        for j in rest:
-            if not store.has_edge(int(prev[pending[j]]), int(c[j])):
-                f[j] = 1.0 / n2v.q
-        accept = rng.random(len(pending)) * fmax < f
-        rejected = pending[~accept]
-        if len(rejected) == 0:
-            return out
-        out[rejected] = store.sample_next(rng, cur[rejected])
-        # A dead end cannot appear here (cur had a neighbor to propose),
-        # but guard anyway: drop any -1 from the pending set.
-        pending = rejected[out[rejected] >= 0]
-    raise RuntimeError("second-order rejection failed to converge")
+def check_walk(length: int, stop_prob: float | None) -> None:
+    """Raise ``ValueError`` unless ``length >= 0`` and ``stop_prob`` is
+    None or in [0, 1] (NaN included)."""
+    if length < 0:
+        raise ValueError(f"walk length {length} is negative")
+    if stop_prob is not None and not 0.0 <= stop_prob <= 1.0:
+        raise ValueError(f"stop_prob {stop_prob} is not in [0, 1]")
+
+
+def advance(store, rng: np.random.Generator, cur: np.ndarray, step: np.ndarray,
+            alive: np.ndarray, *, length: int, stop_prob: float | None = None,
+            node2vec: Node2VecParams | None = None, stay=None):
+    """Step walkers in place; yield the indices that moved at each inner step.
+
+    ``cur``, ``step`` and ``alive`` hold each walker's vertex, step count
+    and liveness. A walker moves while it is alive, short of ``length``
+    steps and, if ``stay`` is given, at a vertex ``stay`` accepts (``stay``
+    maps a vertex array to a mask). Each inner step flips the
+    ``stop_prob`` coin for every moving walker, then draws one proposal
+    per survivor; a walker at a dead end dies. With ``node2vec`` a walker
+    that has a previous vertex keeps its proposal with probability
+    f(prev, proposal) / fmax (Eq. 1, KnightKing's rejection); a rejected
+    walker keeps its vertex and step and proposes again next inner step.
+    """
+    going = alive & (step < length)
+    prev = np.full(len(cur), -1, dtype=np.int64)
+    while len(idx := np.nonzero(going)[0]):
+        if stop_prob is not None:
+            stop = rng.random(len(idx)) < stop_prob
+            alive[idx[stop]] = going[idx[stop]] = False
+            idx = idx[~stop]
+        nxt = store.sample_next(rng, cur[idx])
+        ok = nxt >= 0
+        alive[idx[~ok]] = going[idx[~ok]] = False  # dead end
+        if node2vec is not None:
+            j = np.nonzero(ok & (prev[idx] >= 0))[0]
+            w, c = prev[idx[j]], nxt[j]
+            f = np.where(c == w, 1.0 / node2vec.p, 1.0)
+            for i in np.nonzero(c != w)[0]:
+                if not store.has_edge(int(w[i]), int(c[i])):
+                    f[i] = 1.0 / node2vec.q
+            ok[j] = rng.random(len(j)) * node2vec.fmax < f
+        idx = idx[ok]
+        prev[idx] = cur[idx]
+        cur[idx] = nxt[ok]
+        step[idx] += 1
+        going[idx] = step[idx] < length
+        if stay is not None:
+            going[idx] &= stay(cur[idx])
+        yield idx
 
 
 def random_walk(
@@ -100,37 +121,21 @@ def random_walk(
 
     ``stop_prob`` adds a per-step termination coin (PPR's 1/80 — the
     expected walk length stays ``1/stop_prob``). ``node2vec`` switches on
-    the second-order rejection filter. Walkers die at dead-end vertices
-    (no out-edges), matching the paper's step-by-step engine.
+    the second-order rejection filter; it cannot be combined with
+    ``stop_prob``, since a rejected proposal would flip the coin again.
+    Walkers die at dead-end vertices (no out-edges), matching the
+    paper's step-by-step engine.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    n = len(starts)
+    check_walk(length, stop_prob)
+    if stop_prob is not None and node2vec is not None:
+        raise ValueError("stop_prob and node2vec cannot be combined")
+    cur = np.array(starts, dtype=np.int64)
+    n = len(cur)
     paths = np.full((n, length + 1), -1, dtype=np.int64)
-    paths[:, 0] = starts
-    cur = starts.copy()
-    prev = np.full(n, -1, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    steps = 0
-    for t in range(1, length + 1):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        if stop_prob is not None:
-            keep = rng.random(len(idx)) >= stop_prob
-            active[idx[~keep]] = False
-            idx = idx[keep]
-            if len(idx) == 0:
-                break
-        nxt = store.sample_next(rng, cur[idx])
-        if node2vec is not None:
-            nxt = _second_order_filter(store, rng, prev[idx], cur[idx], nxt, node2vec)
-        dead = nxt < 0
-        steps += int((~dead).sum())
-        active[idx[dead]] = False
-        live = idx[~dead]
-        paths[live, t] = nxt[~dead]
-        prev[live] = cur[live]
-        cur[live] = nxt[~dead]
-    flat = paths[paths >= 0]
-    visits = np.bincount(flat)
-    return WalkResult(paths=paths, visits=visits, steps=steps)
+    paths[:, 0] = cur
+    step = np.zeros(n, dtype=np.int64)
+    for idx in advance(store, rng, cur, step, np.ones(n, dtype=bool),
+                       length=length, stop_prob=stop_prob, node2vec=node2vec):
+        paths[idx, step[idx]] = cur[idx]
+    return WalkResult(paths=paths, visits=np.bincount(paths[paths >= 0]),
+                      steps=int(step.sum()))

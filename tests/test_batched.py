@@ -250,3 +250,33 @@ class TestFloatStore:
             APPLY[path](st, batch)
         st.check_invariants()
         pd.testing.assert_frame_equal(st.edges(), self.EDGES, check_dtype=False)
+
+    def test_lambda_readapts_after_batch(self):
+        # λ = 1 on four whole biases; 50 inserts of 0.3 would leave the
+        # decimal group 0.79 of the mass against the 1/d = 1/54 target.
+        st = BingoStore(pd.DataFrame({"src": 0, "dst": [1, 2, 3, 4], "bias": 1.0}))
+        old = st._v[0]
+        st.apply_batch(pd.DataFrame(
+            {"op": 1, "src": 0, "dst": np.arange(5, 55), "bias": 0.3}
+        ))
+        v = st._v[0]
+        st.check_invariants()
+        assert v is not old and v.lam == 10.0
+        dec = v.group(-1)
+        assert dec is None or dec.weight() * v.degree < v.total_weight
+        assert v.conversions is old.conversions and v.touches is old.touches
+        assert sum(v.conversions.values()) > 0
+        hops = st.sample_next(rng(22), np.zeros(60_000, dtype=np.int64))
+        assert_distribution((hops >= 5).astype(int), [4 / 19, 15 / 19])
+
+    def test_lambda_at_cap_not_rebuilt(self):
+        # Biases of 1e-12 miss the 1/d target at every λ, so λ sits at the
+        # 1e9 cap with all mass decimal; a batch of more keeps the vertex.
+        st = BingoStore(pd.DataFrame({"src": 0, "dst": [1, 2, 3, 4], "bias": 1e-12}))
+        old = st._v[0]
+        assert old.lam == 1e9
+        st.apply_batch(pd.DataFrame(
+            {"op": 1, "src": 0, "dst": np.arange(5, 10), "bias": 2e-12}
+        ))
+        assert st._v[0] is old and old.lam == 1e9
+        st.check_invariants()

@@ -113,6 +113,19 @@ class TestDistributedWalk:
         seg = eng.walk(starts=np.array([0, 0]), length=5, seed=5)
         assert seg.step.max() == 1
 
+    @pytest.mark.parametrize("kw", [{"stop_prob": np.nan}, {"stop_prob": -0.5},
+                                    {"stop_prob": 1.5}, {"length": -1}],
+                             ids=["nan", "negative", "above_one", "length"])
+    def test_bad_walk_raises_before_any_job(self, spark, engine, kw):
+        sc = spark.sparkContext
+        sc.setJobGroup("bad-walk", "a walk that must start no job")
+        try:
+            with pytest.raises(ValueError):
+                engine.walk(starts=engine.vertices()[:4], seed=6, **kw)
+            assert list(sc.statusTracker().getJobIdsForGroup("bad-walk")) == []
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+
 
 class TestDistributedUpdates:
     def test_updates_match_ground_truth(self, spark, small_edges):

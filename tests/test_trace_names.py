@@ -8,6 +8,7 @@ fail only there. The list is read from ``layers.py``."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import BingoStore
@@ -52,3 +53,17 @@ def test_update_work_counts(layers):
     assert work("core.update.resolve") == len(batch)
     assert work("core.update.vertex_batch") == n_ins + n_del
     assert work("core.update.batched_delete") == n_del
+
+
+def test_node2vec_spans_nest_in_the_walk(layers):
+    # walk.n2v.has_edge_calls counts core.has_edge spans whose parent is
+    # walk.random_walk, and accept_ratio divides steps by sample_next work.
+    st = BingoStore(graph_edges("AM").head(2000))
+    tr = layers.Tracer()
+    with tr.installed():
+        res = layers.apps.node2vec(st, np.random.default_rng(4), length=10, walkers=200)
+    t = layers.span_table(tr)
+    has_edge = t["label"] == "core.has_edge"
+    assert has_edge.any()
+    assert (t["parent"][has_edge] == "walk.random_walk").all()
+    assert int(t["work"][t["label"] == "core.sample_next"].sum()) >= res.steps > 0

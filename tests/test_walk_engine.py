@@ -13,6 +13,7 @@ from repro.walk import (
     random_walk,
     simple_sampling,
 )
+from repro.walk.engine import advance
 from tests.util import assert_distribution, rng
 
 
@@ -157,3 +158,64 @@ class TestApps:
     def test_ppr_visits_normalizable(self, triangle):
         res = ppr(triangle, rng(18), starts=[0] * 200)
         assert res.visits.sum() > 0
+
+
+class TestAdvance:
+    """The one step loop (``walk.engine.advance``) on its own."""
+
+    def test_stay_resumes_ring_paths(self):
+        # A directed ring 0 -> 1 -> ... -> 11 -> 0; ``stay`` refuses every
+        # fourth vertex, so each call stops walkers there, as a Spark task
+        # stops walkers that cross into another partition.
+        st = store_from([(i, (i + 1) % 12, 1) for i in range(12)])
+        starts = np.arange(30) % 12
+        cur, step = starts.copy(), np.zeros(30, dtype=np.int64)
+        alive = np.ones(30, dtype=bool)
+        moves, r, length = [], rng(19), 10
+        while (alive & (step < length)).any():
+            call = []
+            for idx in advance(st, r, cur, step, alive, length=length,
+                               stay=lambda c: c % 4 != 0):
+                call += zip(idx.tolist(), step[idx].tolist(), cur[idx].tolist())
+            # A walker stops at the first vertex ``stay`` refuses.
+            assert all(v % 4 or s == step[w] for w, s, v in call)
+            assert ((cur % 4 == 0) | (step == length)).all()
+            moves += call
+        assert alive.all() and (step == length).all()
+        assert len(set((w, s) for w, s, _ in moves)) == len(moves) == 30 * length
+        for w, s, v in moves:
+            assert v == (starts[w] + s) % 12
+
+    def test_node2vec_reaches_length_on_edges(self):
+        st = store_from(
+            [(0, 1, 1), (0, 2, 1), (1, 0, 1), (1, 2, 1), (1, 3, 1), (2, 0, 1), (3, 1, 1)]
+        )
+        n, length = 500, 6
+        cur, step = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        alive = np.ones(n, dtype=bool)
+        at = {w: 0 for w in range(n)}
+        for idx in advance(st, rng(20), cur, step, alive, length=length,
+                           node2vec=Node2VecParams(0.5, 2.0)):
+            for w in idx.tolist():
+                assert st.has_edge(at[w], int(cur[w]))
+                at[w] = int(cur[w])
+        assert alive.all() and (step == length).all()
+
+
+class TestValidation:
+    @pytest.mark.parametrize("p, q", [(0, 1), (-1, 1), (np.nan, 1), (1, 0),
+                                      (1, -2), (1, np.inf)])
+    def test_node2vec_params_finite_positive(self, p, q):
+        with pytest.raises(ValueError):
+            Node2VecParams(p=p, q=q)
+
+    @pytest.mark.parametrize("kw", [{"stop_prob": np.nan}, {"stop_prob": -0.5},
+                                    {"stop_prob": 1.5}, {"length": -1},
+                                    {"stop_prob": 0.1, "node2vec": Node2VecParams()}],
+                             ids=["nan", "negative", "above_one", "length", "node2vec"])
+    def test_bad_walk_raises_before_any_draw(self, triangle, kw):
+        r = rng(21)
+        state = r.bit_generator.state
+        with pytest.raises(ValueError):
+            random_walk(triangle, [0, 1], r, **kw)
+        assert r.bit_generator.state == state
