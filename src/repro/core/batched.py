@@ -30,7 +30,10 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
     before the next walk round (§6 implementation detail ii).
 
     Returns ``(inserts, deletes)``: dicts keyed by src of [(dst, bias)]
-    / [dst] lists, each bias a float64. Raises before anything changes:
+    / [dst] lists, each bias a float64. An edge present both before and
+    after the batch (deleted, then inserted again) is a re-insert: it is
+    in ``inserts``, and applying it replaces the edge, so it keeps the
+    bias of its last insert. Raises before anything changes:
     ``KeyError`` on deleting an edge that is absent at that point of the
     stream or inserting one that is present, ``ValueError`` on a bias
     that is not finite and positive (NaN included) or that float64 would
@@ -59,12 +62,11 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
     inserts: dict = {}
     deletes: dict = {}
     for (src, dst), (was, present, bias) in state.items():
-        if present and not was:
+        if present:
             inserts.setdefault(src, []).append((dst, bias))
-        elif not present and was:
+        elif was:
             deletes.setdefault(src, []).append(dst)
-        # present == was: the batch's net effect on this edge is nil
-        # (insert+delete round trip) — nothing to apply.
+        # Absent before and after (an insert+delete round trip): nil.
     return inserts, deletes
 
 
@@ -79,13 +81,16 @@ def batched_delete(v: BingoVertex, dsts, row) -> None:
 def apply_vertex_batch(v: BingoVertex, inserts, deletes, row) -> None:
     """§5.2 per-vertex batch on sampler ``v`` and its adjacency ``row``:
     all inserts, then all deletes, then ONE rebuild (reclassify +
-    inter-group table).
+    inter-group table). A re-insert, an insert of an edge ``row``
+    still holds, swap-deletes that edge and then appends it anew.
 
     ``inserts`` is a sequence of (dst, bias); ``deletes`` a sequence of
     dst ids. The caller (store) has already resolved same-edge conflicts
     into net effects per the paper's timestamp rule, and validated them.
     """
     for dst, bias in inserts:
+        if dst in row.pos:
+            v._delete_index(row.delete(dst))
         v._insert_edge(bias)
         row.append(dst, bias)
     if deletes:

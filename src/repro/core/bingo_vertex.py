@@ -1,9 +1,11 @@
 """Per-vertex BINGO sampling structure (paper §4, §5.1).
 
 One ``BingoVertex`` holds the integer parts of a vertex's λ-scaled
-biases (a Hornet-style dynamic array), its radix groups keyed by bit
-position, the optional decimal group of the floating-point scheme (the
-only copy of the decimal parts), and the inter-group alias table. It
+biases (a Hornet-style dynamic array), one table of its groups and the
+inter-group alias table. The table keys the radix groups by bit position
+and the optional decimal group of the floating-point scheme (the only
+copy of the decimal parts) by ``DECIMAL_KEY``; that group is drawn last
+and never reclassified. It
 knows no destination ids: like every ``VertexSampler`` it works on
 adjacency indices in [0, d), and the owning store maps drawn indices to
 destinations through its adjacency row (``graphs.dynamic_graph``). It
@@ -38,7 +40,6 @@ from . import bits
 from .alias import AliasTable
 from .dynarray import DynArray
 from .groups import (
-    KIND_DECIMAL,
     KIND_DENSE,
     KIND_ONE,
     classify,
@@ -47,7 +48,7 @@ from .groups import (
 )
 from .sampler_api import VertexSampler
 
-#: Sentinel key for the decimal group in the inter-group key list.
+#: Key of the decimal group in the group table and the inter-group keys.
 DECIMAL_KEY = -1
 
 
@@ -62,15 +63,21 @@ class BingoVertex(VertexSampler):
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
+        # The groups, from the integer and the decimal parts — O(d·K).
         self.lam = bits.choose_lambda(raw)
         ints, fracs = bits.float_split(raw, self.lam)
         self._ints = DynArray.from_values(ints, dtype=np.int64)
-
         self._groups: dict = {}
-        self._decimal: DecimalGroup | None = None
-        self._inter: AliasTable | None = None
-        self._inter_keys: list = []
-        self._build_groups(fracs)
+        for k in range(bits.num_bits(int(ints.max(initial=0)))):
+            members = bits.group_members(ints, k)
+            if len(members):
+                self._groups[k] = make_group(
+                    self._classify(len(members)), k, members, len(ints)
+                )
+        dec = np.nonzero(fracs > 0)[0]
+        if len(dec):
+            self._groups[DECIMAL_KEY] = DecimalGroup(dec, fracs[dec])
+        self._rebuild_inter()
 
     # -- construction -------------------------------------------------------
 
@@ -79,35 +86,14 @@ class BingoVertex(VertexSampler):
             return "regular"
         return classify(size, self.degree)
 
-    def _build_groups(self, fracs: np.ndarray) -> None:
-        """Build all groups from the integer parts and the decimal parts
-        ``fracs`` — O(d·K)."""
-        ints = self._ints.view()
-        d = len(ints)
-        if d == 0:
-            self._rebuild_inter()
-            return
-        K = bits.num_bits(int(ints.max(initial=0)))
-        for k in range(K):
-            members = bits.group_members(ints, k)
-            if len(members):
-                self._groups[k] = make_group(
-                    self._classify(len(members)), k, members, d
-                )
-        dec = np.nonzero(fracs > 0)[0]
-        if len(dec):
-            self._decimal = DecimalGroup(dec, fracs[dec])
-        self._rebuild_inter()
-
     def _rebuild_inter(self) -> None:
-        """Rebuild the K-entry inter-group alias table (Eq. 5) — O(K)."""
+        """Rebuild the K-entry inter-group alias table (Eq. 5) — O(K),
+        with the decimal group last."""
         keys = sorted(self._groups)
-        weights = [self._groups[k].weight() for k in keys]
-        if self._decimal is not None and self._decimal.size:
-            keys.append(DECIMAL_KEY)
-            weights.append(self._decimal.weight())
+        if keys and keys[0] == DECIMAL_KEY:
+            keys.append(keys.pop(0))
         self._inter_keys = keys
-        self._inter = AliasTable(weights) if keys else None
+        self._inter = AliasTable([self._groups[k].weight() for k in keys]) if keys else None
 
     # -- views / accessors ---------------------------------------------------
 
@@ -121,27 +107,26 @@ class BingoVertex(VertexSampler):
 
     def weight_of(self, index: int) -> float:
         """Effective (λ-scaled) sampling weight of adjacency index."""
-        frac = self._decimal.frac_of(index) if self._decimal is not None else 0.0
-        return float(self._ints[index]) + frac
+        dec = self._groups.get(DECIMAL_KEY)
+        return float(self._ints[index]) + (0.0 if dec is None else dec.frac_of(index))
 
     @property
     def total_weight(self) -> float:
-        g = sum(grp.weight() for grp in self._groups.values())
-        if self._decimal is not None:
-            g += self._decimal.weight()
-        return g
+        return sum(g.weight() for g in self._groups.values())
+
+    def decimal_mass_high(self) -> bool:
+        """Whether the decimal group holds at least 1/d of the mass, so
+        the §4.4 bound on a draw's expected cost has lapsed."""
+        dec = self._groups.get(DECIMAL_KEY)
+        return dec is not None and dec.weight() * self.degree >= self.total_weight
 
     def group(self, k: int):
-        """The group at radix position k, or None (test/bench accessor)."""
-        if k == DECIMAL_KEY:
-            return self._decimal
+        """The group at radix position k (or the decimal group at
+        ``DECIMAL_KEY``), or None (test/bench accessor)."""
         return self._groups.get(k)
 
     def group_kinds(self) -> dict:
-        out = {k: g.kind for k, g in self._groups.items()}
-        if self._decimal is not None:
-            out[DECIMAL_KEY] = KIND_DECIMAL
-        return out
+        return {k: g.kind for k, g in self._groups.items()}
 
     # -- sampling (Eq. 5-7) --------------------------------------------------
 
@@ -150,9 +135,7 @@ class BingoVertex(VertexSampler):
         intra-group draw — the O(1) per-step cost a single walker pays."""
         if self._inter is None:
             raise ValueError("sampling from an empty vertex")
-        key = self._inter_keys[self._inter.sample_one(rng)]
-        grp = self._decimal if key == DECIMAL_KEY else self._groups[key]
-        return grp.sample_one(rng, self)
+        return self._groups[self._inter_keys[self._inter.sample_one(rng)]].sample_one(rng, self)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Hierarchical sampling; returns adjacency indices in [0, d).
@@ -178,8 +161,7 @@ class BingoVertex(VertexSampler):
             if lo == hi:
                 continue
             sl = order[lo:hi]
-            key = self._inter_keys[gi]
-            grp = self._decimal if key == DECIMAL_KEY else self._groups[key]
+            grp = self._groups[self._inter_keys[gi]]
             kind = grp.kind
             if kind == "regular" or kind == "sparse":
                 m = grp.members
@@ -222,8 +204,7 @@ class BingoVertex(VertexSampler):
             return
         ints = self._ints.view()
         for k, g in list(self._groups.items()):
-            desired = self._classify(g.size)
-            if desired == g.kind:
+            if k == DECIMAL_KEY or (desired := self._classify(g.size)) == g.kind:
                 continue
             members = (
                 bits.group_members(ints, k)
@@ -243,33 +224,36 @@ class BingoVertex(VertexSampler):
         for k in bits.bit_positions(ip):
             self._group_insert(k, idx)
         if frac > 0:
-            if self._decimal is None:
-                self._decimal = DecimalGroup([], [])
-            self._decimal.insert(idx, frac)
+            dec = self._groups.get(DECIMAL_KEY)
+            if dec is None:
+                dec = self._groups[DECIMAL_KEY] = DecimalGroup([], [])
+            dec.insert(idx, frac)
         return idx
+
+    def _keys_of(self, idx: int) -> list:
+        """Keys of the groups adjacency index ``idx`` is a member of."""
+        keys = bits.bit_positions(int(self._ints[idx]))
+        dec = self._groups.get(DECIMAL_KEY)
+        if dec is not None and idx in dec.inv:
+            keys.append(DECIMAL_KEY)
+        return keys
 
     def _delete_index(self, idx: int) -> None:
         """Intra-group part of deletion; caller must ``_finalize_update``.
 
         ``idx`` leaves its groups, then the tail d-1 is renamed to ``idx``:
         the same swap its adjacency row's delete made."""
-        for k in bits.bit_positions(int(self._ints[idx])):
+        for k in self._keys_of(idx):
             g = self._groups[k]
-            self.touches[g.kind] += 1
+            if k != DECIMAL_KEY:
+                self.touches[g.kind] += 1
             g.delete(idx)
             if g.kind == KIND_ONE or g.size == 0:
                 del self._groups[k]
-        dec = self._decimal
-        if dec is not None and idx in dec.inv:
-            dec.delete(idx)
-            if dec.size == 0:
-                self._decimal = dec = None
         last = self.degree - 1
         if idx != last:
-            for k in bits.bit_positions(int(self._ints[last])):
+            for k in self._keys_of(last):
                 self._groups[k].replace_index(last, idx)
-            if dec is not None and last in dec.inv:
-                dec.replace_index(last, idx)
         self._ints.pop_swap(idx)
 
     def _finalize_update(self) -> None:
@@ -297,8 +281,6 @@ class BingoVertex(VertexSampler):
         """Sampling-structure bytes: groups + inverted indices + inter table
         + the integer-part array (decimal parts live in the decimal group)."""
         n = sum(g.nbytes for g in self._groups.values())
-        if self._decimal is not None:
-            n += self._decimal.nbytes
         if self._inter is not None:
             n += self._inter.nbytes + 8 * len(self._inter_keys)
         return n + self._ints.nbytes
@@ -310,6 +292,8 @@ class BingoVertex(VertexSampler):
         ints = self._ints.view()
         d = self.degree
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
+        W = bits.group_weights(ints, K)
+        keys = []
         for k in range(K):
             expect = bits.group_members(ints, k)
             g = self._groups.get(k)
@@ -318,30 +302,28 @@ class BingoVertex(VertexSampler):
                 continue
             assert g is not None, f"group 2^{k} missing"
             assert g.size == len(expect), f"group 2^{k} size mismatch"
+            assert g.weight() == W[k], f"W(p_{k}) mismatch"  # Eq. 4
             if self.adaptive:
                 assert g.kind == self._classify(g.size), f"group 2^{k} kind stale"
             if g.kind != KIND_DENSE:
                 np.testing.assert_array_equal(g.members_array(), expect)
+            keys.append(k)
         # The decimal group: an inverted index that matches its members,
         # which are distinct indices in [0, d), each with a decimal part in
         # (0, 1). ``BingoStore.check_invariants`` checks the parts' values.
-        dec = self._decimal
+        dec = self._groups.get(DECIMAL_KEY)
         if dec is not None:
             m, fr = dec.members.view(), dec.fracs.view()
             assert dec.inv == {int(x): p for p, x in enumerate(m)}
             assert 0 < len(m) == len(fr) and ((0 <= m) & (m < d)).all()
             assert ((0 < fr) & (fr < 1)).all() and dec._max >= fr.max()
             assert abs(dec.weight() - fr.sum()) < 1e-9 * max(1, d)
-        # Inter-group weights match Eq. 4 recomputed from scratch.
-        if d:
-            W = bits.group_weights(ints)
-            for key, g in self._groups.items():
-                assert g.weight() == W[key], f"W(p_{key}) mismatch"
+            keys.append(DECIMAL_KEY)
         # The inter-group table draws each group with Eq. 5's W(p_k)/ΣW.
-        keys = sorted(self._groups) + ([DECIMAL_KEY] if self._decimal is not None else [])
-        assert self._inter_keys == keys, "inter-group keys stale"
+        assert self._inter_keys == keys and len(self._groups) == len(keys), (
+            "inter-group keys stale")
         if keys:
-            w = np.array([self.group(k).weight() for k in keys])
+            w = np.array([self._groups[k].weight() for k in keys])
             np.testing.assert_allclose(self._inter.probs(), w / w.sum(), rtol=0, atol=1e-9)
         else:
             assert self._inter is None

@@ -20,20 +20,23 @@ Adaptive representations (Eq. 9, α=40, β=10):
 
 Regular, sparse and decimal groups support O(1) ``insert``/``delete``
 (via the inverted index + delete-and-swap); the decimal group is a
-sparse group that also keeps its members' fractional weights. A
+sparse group that also keeps its members' fractional weights, and sits
+in the owning vertex's one group table next to the radix groups. A
 one-element group cannot grow, so the owning vertex re-creates it.
 Every group has O(1) ``replace_index`` so the owning vertex can follow
 the index its adjacency row's swap-deletion moved.
 ``BingoVertex.sample`` inlines the vectorized draw of regular, sparse
-and one-element groups; dense and decimal groups draw by rejection in
-their own ``sample``.
+and one-element groups. Dense and decimal groups draw by rejection:
+``sample`` through the one vectorized loop (``rejection.rejection_loop``),
+and ``sample_one`` through its own scalar loop, which keeps a single
+walker's draw at a low-degree vertex cheap.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .dynarray import DynArray
-from .rejection import rejection_draw
+from .rejection import rejection_draw, rejection_loop
 
 ALPHA = 40.0  # dense threshold, percent (paper §5.1)
 BETA = 10.0   # sparse threshold, percent (paper §5.1)
@@ -242,19 +245,8 @@ class DenseGroup:
         pass  # no stored indices to rename
 
     def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        ints = vertex.int_bias_view()
-        d = len(ints)
-        k = self.k
-        out = np.empty(size, dtype=np.int64)
-        pending = np.arange(size)
-        for _ in range(_MAX_REJECT_ROUNDS):
-            if len(pending) == 0:
-                return out
-            cand = (rng.random(len(pending)) * d).astype(np.int64)
-            accept = ((ints[cand] >> k) & 1).astype(bool)
-            out[pending[accept]] = cand[accept]
-            pending = pending[~accept]
-        raise RuntimeError("dense-group rejection failed to converge")
+        ints, k = vertex.int_bias_view(), self.k
+        return rejection_loop(rng, size, len(ints), lambda c: ((ints[c] >> k) & 1).astype(bool))
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
         ints = vertex.int_bias_view()

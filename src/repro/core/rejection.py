@@ -4,6 +4,8 @@ Pick a candidate uniformly, accept with probability w_i / max(w);
 expected cost O(d * max(w) / Σw) per draw. Insertion is an O(1) append
 (the max is updated monotonically); deletion follows Table 1's O(d)
 cost because without an inverted index the max may need a rescan.
+``rejection_loop`` is the one vectorized rejection loop: BINGO's dense
+(bit test) and decimal groups draw through it too.
 """
 from __future__ import annotations
 
@@ -14,25 +16,33 @@ from .sampler_api import WeightArraySampler
 _MAX_ROUNDS = 10_000
 
 
-def rejection_draw(rng: np.random.Generator, weights: np.ndarray, max_w: float,
-                   size: int) -> np.ndarray:
-    """Vectorized rejection loop over a weight vector.
-
-    ``max_w`` may be any upper bound >= true max — correctness holds,
-    only the acceptance rate suffers (this is exactly how a stale max
-    behaves in the real structure).
-    """
-    d = len(weights)
+def rejection_loop(rng: np.random.Generator, size: int, d: int, accept) -> np.ndarray:
+    """The vectorized rejection loop: ``size`` draws of an index in
+    [0, d). Each round proposes one uniform candidate per pending draw
+    and keeps those the ``accept(cand)`` mask passes."""
     out = np.empty(size, dtype=np.int64)
     pending = np.arange(size)
     for _ in range(_MAX_ROUNDS):
         if len(pending) == 0:
             return out
         cand = (rng.random(len(pending)) * d).astype(np.int64)
-        accept = rng.random(len(pending)) * max_w < weights[cand]
-        out[pending[accept]] = cand[accept]
-        pending = pending[~accept]
-    raise RuntimeError("rejection sampling failed to converge; check weights")
+        ok = accept(cand)
+        out[pending[ok]] = cand[ok]
+        pending = pending[~ok]
+    raise RuntimeError("rejection sampling failed to converge")
+
+
+def rejection_draw(rng: np.random.Generator, weights: np.ndarray, max_w: float,
+                   size: int) -> np.ndarray:
+    """Rejection over a weight vector: accept candidate i with
+    probability w_i / ``max_w``.
+
+    ``max_w`` may be any upper bound >= true max — correctness holds,
+    only the acceptance rate suffers (this is exactly how a stale max
+    behaves in the real structure).
+    """
+    return rejection_loop(rng, size, len(weights),
+                          lambda c: rng.random(len(c)) * max_w < weights[c])
 
 
 class RejectionSampler(WeightArraySampler):

@@ -3,9 +3,10 @@ per vertex (paper §6 "treats each vertex as an individual object", on
 the Hornet-style substrate of §9.1).
 
 The store is the engine-facing surface shared by BINGO and the SOTA
-simulators: vectorized next-hop sampling for a batch of walkers,
-batched update ingestion (§5.2), adjacency queries for
-second-order (node2vec) rejection tests, and memory accounting.
+simulators: vectorized next-hop sampling for a batch of walkers through
+``dispatch``, the one walker-dispatch kernel of every store, batched
+update ingestion (§5.2), adjacency queries for second-order (node2vec)
+rejection tests, and memory accounting.
 """
 from __future__ import annotations
 
@@ -19,8 +20,35 @@ import pandas as pd
 from ..graphs import dynamic_graph
 from . import bits
 from .batched import apply_vertex_batch, resolve_net_effects
-from .bingo_vertex import DECIMAL_KEY, BingoVertex
-from .grouping import iter_vertex_groups
+from .bingo_vertex import BingoVertex
+
+
+def iter_vertex_groups(cur: np.ndarray):
+    """Yield (vertex, walker_indices) for each distinct vertex in ``cur``:
+    one stable sort, O(n log n) in the walkers."""
+    order = np.argsort(cur, kind="stable")
+    uniq, starts = np.unique(cur[order], return_index=True)
+    bounds = np.append(starts, len(cur))
+    for i in range(len(uniq)):
+        yield int(uniq[i]), order[starts[i] : bounds[i + 1]]
+
+
+def dispatch(cur, rows, draw) -> np.ndarray:
+    """Next hop of each walker at ``cur``, -1 at a vertex with no or an
+    empty row in ``rows``. The walkers at vertex ``u`` share one call of
+    ``draw(u, m)``, which returns ``m`` indices into ``u``'s row (an int
+    when ``m == 1``): the CPU analog of BINGO's per-vertex kernels."""
+    cur = np.asarray(cur, dtype=np.int64)
+    out = np.full(len(cur), -1, dtype=np.int64)
+    for u, idx in iter_vertex_groups(cur):
+        row = rows.get(u)
+        if row is None or not len(row.dst):
+            continue
+        if len(idx) == 1:
+            out[idx[0]] = row.dst._buf[draw(u, 1)]
+        else:
+            out[idx] = row.dst.view()[draw(u, len(idx))]
+    return out
 
 
 class BingoStore:
@@ -59,26 +87,15 @@ class BingoStore:
     # -- sampling ------------------------------------------------------------
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        """Next-hop for each walker at ``cur`` (-1 marks a dead end).
+        """Next hop for each walker at ``cur`` (-1 marks a dead end): one
+        vectorized hierarchical draw per occupied vertex, scalar for a
+        vertex with one walker."""
+        v = self._v
 
-        Walkers at the same vertex are drawn in one vectorized call —
-        the CPU analog of BINGO's per-vertex GPU kernels — with a scalar
-        fast path for singly-occupied vertices.
-        """
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        get = self._v.get
-        rows = self.adj.rows
-        for u, idx in iter_vertex_groups(cur):
-            v = get(u)
-            if v is None or v.degree == 0:
-                continue
-            dst = rows[u].dst
-            if len(idx) == 1:
-                out[idx[0]] = dst._buf[v.sample_one(rng)]
-            else:
-                out[idx] = dst.view()[v.sample(rng, len(idx))]
-        return out
+        def draw(u, m):
+            return v[u].sample_one(rng) if m == 1 else v[u].sample(rng, m)
+
+        return dispatch(cur, self.adj.rows, draw)
 
     # -- updates -------------------------------------------------------------
 
@@ -90,10 +107,11 @@ class BingoStore:
         batch that raises leaves the store as it was."""
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
         for u, ins in inserts.items():
-            # Inserts run first, so they split at the vertex's λ, or at
-            # the λ the first of them picks on an empty vertex.
+            # Inserts run first, at the vertex's λ or, if the first lands on an
+            # empty vertex (a re-insert deletes its edge first), at the λ it picks.
             v = self._v.get(u)
-            lam = v.lam if v is not None and v.degree else bits.choose_lambda([ins[0][1]])
+            d = 0 if v is None else v.degree - self.adj.has_edge(u, ins[0][0])
+            lam = bits.choose_lambda([ins[0][1]]) if d == 0 else v.lam
             if max(b for _, b in ins) * lam >= bits.INT64_LIMIT:
                 raise ValueError(f"a bias into vertex {u} at λ={lam} overflows int64")
         for u in set(inserts) | set(deletes):
@@ -106,16 +124,15 @@ class BingoStore:
 
     def _readapt_lambda(self, u: int, biases: np.ndarray) -> None:
         """Rebuild vertex ``u`` from its raw ``biases`` at a new λ when its
-        decimal group holds at least 1/d of the mass (the §4.4 bound has
-        lapsed), ``choose_lambda`` picks another λ, and that λ's split
-        fits int64. The rebuild keeps the conversion and touch counters.
+        decimal mass passed 1/d (``BingoVertex.decimal_mass_high``),
+        ``choose_lambda`` picks another λ, and that λ's split fits int64.
+        The rebuild keeps the conversion and touch counters.
 
         It cannot raise, so a batch stays atomic: the biases passed the
         batch's checks, and ``choose_lambda`` only tries a λ that could
         overflow on vertices of degree above ~1e9."""
         v = self._v[u]
-        dec = v.group(DECIMAL_KEY)
-        if dec is None or dec.weight() * v.degree < v.total_weight:
+        if not v.decimal_mass_high():
             return
         lam = bits.choose_lambda(biases)
         if lam == v.lam or biases.max() * lam >= bits.INT64_LIMIT:

@@ -104,11 +104,13 @@ class Adjacency:
     def apply(self, batch: pd.DataFrame) -> None:
         """Apply one update batch (columns op/src/dst/bias): resolve its
         net effects, which raises before any row changes, then append
-        and delete per row."""
+        (replacing a re-inserted edge) and delete per row."""
         inserts, deletes = resolve_net_effects(self.has_edge, batch)
         for u, ins in inserts.items():
             row = self.row(u)
             for dst, bias in ins:
+                if dst in row.pos:
+                    row.delete(dst)
                 row.append(dst, bias)
         for u, dsts in deletes.items():
             row = self.rows[u]
@@ -127,12 +129,6 @@ class Adjacency:
         for u, r in self.rows.items():
             if len(r.dst):
                 yield u, r.dst.view(), r.bias.view()
-
-    def neighbors(self, u: int):
-        r = self.rows.get(int(u))
-        if r is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        return r.dst.view(), r.bias.view()
 
     def out_degree(self, u: int) -> int:
         r = self.rows.get(int(u))

@@ -106,16 +106,18 @@ def make_update_plan(
 def apply_updates(initial: pd.DataFrame, batches) -> pd.DataFrame:
     """Reference (oracle-side) application of update batches to an edge list.
 
-    Pure pandas set algebra — used by tests to check that every engine's
-    post-update adjacency equals this ground truth.
+    Pure pandas set algebra: each edge a batch touches takes the state of
+    its last event in that batch, present with that event's bias after
+    an insert and absent after a delete. Tests check every engine's
+    post-update adjacency against this ground truth.
     """
+
+    def key(f):
+        return f.src.astype(np.int64) * (1 << 32) + f.dst.astype(np.int64)
+
     edges = initial[["src", "dst", "bias"]].copy()
     for batch in batches:
-        ins = batch[batch.op == OP_INSERT][["src", "dst", "bias"]]
-        dels = batch[batch.op == OP_DELETE][["src", "dst"]]
-        edges = pd.concat([edges, ins], ignore_index=True)
-        if len(dels):
-            key = edges.src.astype(np.int64) * (1 << 32) + edges.dst.astype(np.int64)
-            dkey = dels.src.astype(np.int64) * (1 << 32) + dels.dst.astype(np.int64)
-            edges = edges[~key.isin(set(dkey))].reset_index(drop=True)
+        last = batch.drop_duplicates(["src", "dst"], keep="last")
+        ins = last[last.op == OP_INSERT][["src", "dst", "bias"]]
+        edges = pd.concat([edges[~key(edges).isin(set(key(last)))], ins], ignore_index=True)
     return edges.sort_values(["src", "dst"]).reset_index(drop=True)

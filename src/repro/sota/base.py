@@ -11,8 +11,8 @@ BINGO's incremental updates avoid.
 All comparators expose the same engine surface as ``BingoStore``
 (apply_batch / sample_next / has_edge / vertices / edges / memory_bytes),
 so the one walk engine and the one Table 3 loop drive every framework.
-They share the walker dispatch loop too; each differs only in its
-``rebuild`` and ``draw``.
+They share BINGO's walker-dispatch kernel too (``core.store.dispatch``);
+each differs only in its ``rebuild`` and ``draw``.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import abc
 import numpy as np
 import pandas as pd
 
-from ..core.grouping import iter_vertex_groups
+from ..core.store import dispatch
 from ..graphs.dynamic_graph import Adjacency
 
 
@@ -58,24 +58,15 @@ class StaticRebuildStore(abc.ABC):
         return self.adj.edges()
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        """Next-hop per walker; -1 for dead ends.
-
-        Walkers are grouped by current vertex with the same sort-based
-        kernel as ``BingoStore``, so dispatch overhead cancels out of the
-        Table 3 comparison and only ``draw`` differs between engines.
-        """
-        cur = np.asarray(cur, dtype=np.int64)
-        out = np.full(len(cur), -1, dtype=np.int64)
-        for u, idx in iter_vertex_groups(cur):
-            dsts, biases = self.adj.neighbors(u)
-            if len(dsts):
-                out[idx] = dsts[self.draw(u, biases, rng, len(idx))]
-        return out
+        """Next hop per walker (-1 for dead ends), through the same
+        dispatch kernel as ``BingoStore``: only ``draw`` differs."""
+        rows = self.adj.rows
+        return dispatch(cur, rows, lambda u, m: self.draw(u, rows[u].bias.view(), rng, m))
 
     @abc.abstractmethod
     def draw(self, u: int, biases: np.ndarray, rng: np.random.Generator, m: int):
-        """Indices into ``u``'s neighbor list of ``m`` draws ∝ ``biases``
-        (a scalar index is allowed when ``m == 1``)."""
+        """Indices into ``u``'s neighbor list of ``m`` draws ∝ ``biases``;
+        an int when ``m == 1``."""
 
     @abc.abstractmethod
     def structure_nbytes(self) -> int:

@@ -24,7 +24,8 @@ class FlowWalkerStore(StaticRebuildStore):
     def draw(self, u, biases, rng, m):
         # Every draw — even a single walker's — pays the O(d) reservoir
         # scan: that is FlowWalker's defining cost model.
-        return reservoir_draw(rng, biases, m)
+        idx = reservoir_draw(rng, biases, m)
+        return idx[0] if m == 1 else idx
 
     def structure_nbytes(self) -> int:
         return 0

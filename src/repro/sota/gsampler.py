@@ -37,7 +37,8 @@ class GSamplerStore(StaticRebuildStore):
         # Per-step matrix materialization: renormalize + prefix-sum the
         # frontier row, then inverse-transform sample.
         cdf = np.cumsum(np.asarray(biases, dtype=np.float64))
-        return np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
+        idx = np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
+        return idx[0] if m == 1 else idx
 
     def structure_nbytes(self) -> int:
         return sum(

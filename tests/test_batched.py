@@ -242,6 +242,19 @@ class TestFloatStore:
         st.check_invariants()
         pd.testing.assert_frame_equal(st.edges(), self.EDGES, check_dtype=False)
 
+    def test_reinsert_overflow_leaves_batch_unapplied(self):
+        # Re-inserting vertex 3's only edge empties it, so its inserts split
+        # at the λ = 1e9 that 1e-9 picks, where 1e11 overflows int64.
+        edges = pd.DataFrame({"src": [3], "dst": [4], "bias": [1.0]})
+        st = BingoStore(edges)
+        batch = pd.DataFrame(
+            {"op": [-1, 1, 1], "src": [3, 3, 3], "dst": [4, 4, 5], "bias": [0, 1e-9, 1e11]}
+        )
+        with pytest.raises(ValueError):
+            st.apply_batch(batch)
+        st.check_invariants()
+        pd.testing.assert_frame_equal(st.edges(), edges, check_dtype=False)
+
     @pytest.mark.parametrize("path", list(APPLY))
     def test_overflowing_bias_rejected(self, path):
         st = BingoStore(self.EDGES)  # vertex 1 has λ = 10

@@ -170,7 +170,7 @@ class TestStreamingDelete:
         assert v.degree == 2
         # After swap, former index 2 (dst 5, bias 3) is renamed to 0 on
         # both sides.
-        np.testing.assert_array_equal(adj.neighbors(2)[0], [5, 4])
+        np.testing.assert_array_equal(adj.rows[2].dst.view(), [5, 4])
         assert weights(v) == [3, 4]
         v.check_invariants()
         assert v.total_weight == 7

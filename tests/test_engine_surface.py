@@ -9,7 +9,7 @@ import pytest
 from repro.bench.table3 import STORES
 from repro.graphs.updates import apply_updates, make_update_plan
 from repro.synth_data import graph_edges
-from tests.util import assert_distribution, rng
+from tests.util import assert_distribution, reinsert_case, rng
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +109,29 @@ def test_emptied_store_keeps_edge_dtypes(name):
     got = st.edges()
     assert got.empty
     assert got.dtypes.to_dict() == {"src": np.int64, "dst": np.int64, "bias": np.float64}
+
+
+def test_reinsert_takes_new_bias(case):
+    """An edge that one batch deletes and inserts again keeps its new
+    bias, also on a vertex the delete empties for a moment."""
+    name, bias = case
+    initial, batch, after = reinsert_case(1 if bias == "int" else 7)
+    st = STORES[name](initial)
+    st.apply_batch(batch)
+    pd.testing.assert_frame_equal(st.edges(), after, check_dtype=False)
+    if hasattr(st, "check_invariants"):
+        st.check_invariants()
+    hops = st.sample_next(rng(9), np.zeros(60_000, dtype=np.int64))
+    assert_distribution(hops - 1, [5 / 7, 2 / 7])
+
+
+def test_single_walker_draws_follow_eq2(case):
+    """One walker per ``sample_next`` call takes the dispatch kernel's
+    scalar branch, ``draw(u, 1)``; its hops over 0 -> 1, 2, 3 with
+    biases 1, 2 and 5 (or the same over 7) follow Eq. 2."""
+    name, bias = case
+    b = np.array([1, 2, 5]) if bias == "int" else np.array([1, 2, 5]) / 7
+    st = STORES[name](pd.DataFrame({"src": 0, "dst": [1, 2, 3], "bias": b}))
+    r = rng(11)
+    hops = np.concatenate([st.sample_next(r, [0]) for _ in range(8000)])
+    assert_distribution(hops - 1, [1 / 8, 2 / 8, 5 / 8])

@@ -11,6 +11,7 @@ from repro.graphs.updates import apply_updates, make_update_plan
 from repro.oracle import assert_equivalent
 from repro.spark import SparkBingoEngine
 from repro.synth_data import graph_edges
+from repro.bench.table3 import STORES
 from tests.util import group_frame
 
 #: One row per (src, k) radix group of the λ-scaled integer parts, plus
@@ -117,3 +118,47 @@ def test_update_stream_oracle(plans):
         initial=plan.initial,
         updates=updates,
     )
+
+
+#: Hand-written batches that touch edges more than once: an insert, delete,
+#: insert run; a re-insert with a new bias; an insert+delete round trip;
+#: a delete, insert, delete run; and a delete followed by two re-inserts.
+REPEATED_INITIAL = pd.DataFrame({"src": [0, 1, 2], "dst": [2, 2, 1], "bias": [2, 3, 1]})
+REPEATED_BATCHES = [
+    pd.DataFrame({"op": [1, -1, 1, -1, 1, 1, -1, 1],
+                  "src": [0, 0, 0, 0, 0, 1, 1, 2],
+                  "dst": [1, 1, 1, 2, 2, 0, 0, 0],
+                  "bias": [1, 0, 3, 0, 4, 2, 0, 5]}),
+    pd.DataFrame({"op": [-1, 1, -1, -1, 1, -1, 1, 1],
+                  "src": [0, 0, 0, 0, 0, 0, 0, 1],
+                  "dst": [1, 1, 1, 2, 2, 2, 2, 0],
+                  "bias": [0, 6, 0, 0, 1, 0, 7, 1]}),
+]
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_repeated_edge_oracle(rounds):
+    """Each edge a stream touches ends in the state of its last event: the
+    pandas ground truth, DuckDB over the stream and every store agree."""
+    batches = REPEATED_BATCHES[:rounds]
+    truth = apply_updates(REPEATED_INITIAL, batches)
+    assert_equivalent(
+        truth,
+        """
+        WITH last AS (
+          SELECT *, ROW_NUMBER() OVER (PARTITION BY src, dst ORDER BY ord DESC) AS r
+          FROM updates
+        )
+        SELECT src, dst, bias FROM initial i
+        WHERE NOT EXISTS (SELECT 1 FROM updates u WHERE u.src = i.src AND u.dst = i.dst)
+        UNION ALL
+        SELECT src, dst, bias FROM last WHERE r = 1 AND op = 1
+        """,
+        initial=REPEATED_INITIAL,
+        updates=pd.concat(batches, ignore_index=True).rename_axis("ord").reset_index(),
+    )
+    for name, cls in STORES.items():
+        st = cls(REPEATED_INITIAL)
+        for b in batches:
+            st.apply_batch(b)
+        pd.testing.assert_frame_equal(st.edges(), truth, check_dtype=False, obj=name)

@@ -11,7 +11,7 @@ from repro.graphs.updates import apply_updates, make_update_plan
 from repro.spark.engine import SparkBingoEngine
 from repro.synth_data import graph_edges
 from repro.walk import random_walk
-from tests.util import assert_distribution, rng
+from tests.util import assert_distribution, reinsert_case, rng
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,19 @@ class TestDistributedUpdates:
         first = seg[seg.step == 1].vertex.to_numpy()
         # Eq. 2 over vertex 0's biases 0.3, 0.1, 0.2 (to 1, 2, 3).
         assert_distribution(first - 1, [0.5, 1 / 6, 1 / 3])
+
+    @pytest.mark.parametrize("scale", [1, 7], ids=["int", "float"])
+    def test_reinsert_takes_new_bias(self, spark, scale):
+        """An edge that one batch deletes and inserts again keeps its new
+        bias in its partition's store, as on the local stores."""
+        initial, batch, after = reinsert_case(scale)
+        eng = SparkBingoEngine(spark, initial, n_parts=2)
+        eng.apply_updates(batch)
+        pd.testing.assert_frame_equal(eng.edges(), after, check_dtype=False)
+        for pid in eng._state:
+            eng.store_of(pid).check_invariants()
+        seg = eng.walk(starts=np.zeros(8000, dtype=np.int64), length=1, seed=7)
+        assert_distribution(seg[seg.step == 1].vertex.to_numpy() - 1, [5 / 7, 2 / 7])
 
     def test_empty_graph_and_batch(self, spark):
         """An empty edge frame builds and an empty batch is a no-op, as on

@@ -50,3 +50,17 @@ def group_frame(stores) -> pd.DataFrame:
                 g = v.group(k)
                 rows.append((u, k, g.size, g.weight(), kind, v.degree, p[k]))
     return pd.DataFrame(rows, columns=["src", "k", "cnt", "w", "kind", "d", "p"])
+
+
+def reinsert_case(scale: float = 1.0):
+    """(initial edges, batch, edges after it) for a batch that deletes two
+    edges and inserts them again with new biases: 0 -> 1 from 1 to 5, and
+    3 -> 4, vertex 3's only edge, from 1 to 3. Every bias is divided by
+    ``scale``; vertex 0 then draws 1 and 2 at 5/7 and 2/7 (Eq. 2)."""
+    initial = pd.DataFrame({"src": [0, 0, 3], "dst": [1, 2, 4], "bias": [1, 2, 1]})
+    batch = pd.DataFrame({"op": [-1, -1, 1, 1], "src": [0, 3, 0, 3],
+                          "dst": [1, 4, 1, 4], "bias": [0, 0, 5, 3]})
+    after = initial.assign(bias=[5, 2, 3])
+    if scale == 1:
+        return initial, batch, after
+    return tuple(f.assign(bias=f.bias / scale) for f in (initial, batch, after))
