@@ -112,7 +112,9 @@ class BingoVertex(VertexSampler):
 
     @property
     def total_weight(self) -> float:
-        return sum(g.weight() for g in self._groups.values())
+        """Σ of the group weights, as the inter-group alias table holds
+        it: O(1)."""
+        return 0.0 if self._inter is None else self._inter.total
 
     def decimal_mass_high(self) -> bool:
         """Whether the decimal group holds at least 1/d of the mass, so
@@ -322,8 +324,10 @@ class BingoVertex(VertexSampler):
         # The inter-group table draws each group with Eq. 5's W(p_k)/ΣW.
         assert self._inter_keys == keys and len(self._groups) == len(keys), (
             "inter-group keys stale")
+        # ``total_weight``, read from that table, is the groups' sum.
         if keys:
             w = np.array([self._groups[k].weight() for k in keys])
             np.testing.assert_allclose(self._inter.probs(), w / w.sum(), rtol=0, atol=1e-9)
+            assert abs(self.total_weight - w.sum()) <= 1e-9 * w.sum(), "total weight stale"
         else:
-            assert self._inter is None
+            assert self._inter is None and self.total_weight == 0.0

@@ -5,8 +5,8 @@ the Hornet-style substrate of §9.1).
 The store is the engine-facing surface shared by BINGO and the SOTA
 simulators: vectorized next-hop sampling for a batch of walkers through
 ``dispatch``, the one walker-dispatch kernel of every store, batched
-update ingestion (§5.2), adjacency queries for second-order (node2vec)
-rejection tests, and memory accounting.
+update ingestion (§5.2), adjacency queries and return-edge shares for
+second-order (node2vec) rejection, and memory accounting.
 """
 from __future__ import annotations
 
@@ -51,6 +51,19 @@ def dispatch(cur, rows, draw) -> np.ndarray:
     return out
 
 
+def edge_shares(src, dst, rows, share) -> np.ndarray:
+    """``share(u, i)`` for each pair (u, x) of ``src`` and ``dst`` where
+    ``x`` sits at index ``i`` of ``u``'s row in ``rows``; 0 where there
+    is no edge u→x."""
+    out = np.zeros(len(src), dtype=np.float64)
+    for n, (u, x) in enumerate(zip(src.tolist(), dst.tolist())):
+        row = rows.get(u)
+        i = None if row is None else row.pos.get(x)
+        if i is not None:
+            out[n] = share(u, i)
+    return out
+
+
 class BingoStore:
     """One dynamic adjacency plus one BINGO sampler per source vertex.
 
@@ -75,6 +88,13 @@ class BingoStore:
 
     def has_edge(self, u: int, dst: int) -> bool:
         return self.adj.has_edge(u, dst)
+
+    def edge_share(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """w(u→x)/W(u) for each pair (u, x) of ``src`` and ``dst``, 0 where
+        there is no edge: O(1) a pair, from the sampler's total."""
+        v = self._v
+        return edge_shares(src, dst, self.adj.rows,
+                           lambda u, i: v[u].weight_of(i) / v[u].total_weight)
 
     def items(self):
         """Yield (vertex, dst view, raw-bias view) for non-empty vertices."""
@@ -101,7 +121,8 @@ class BingoStore:
 
     def apply_batch(self, batch: pd.DataFrame) -> None:
         """Batched path (§5.2): group by vertex, insert→delete→one rebuild,
-        then a new λ for a vertex whose decimal mass passed 1/d.
+        then a new λ for a vertex whose decimal mass passed 1/d or that
+        kept none of its edges from before the batch.
 
         The whole batch is validated before any vertex changes, so a
         batch that raises leaves the store as it was."""
@@ -118,21 +139,29 @@ class BingoStore:
             v = self._v.get(u)
             if v is None:
                 v = self._v[u] = BingoVertex([])
+            ins, dels = inserts.get(u, []), deletes.get(u, [])
             row = self.adj.row(u)
-            apply_vertex_batch(v, inserts.get(u, []), deletes.get(u, []), row)
-            self._readapt_lambda(u, row.bias.view())
+            # Whether the batch deleted or re-inserted every edge it had.
+            d = v.degree
+            emptied = 0 < d <= len(ins) + len(dels) and (
+                d == len(dels) + sum(dst in row.pos for dst, _ in ins))
+            apply_vertex_batch(v, ins, dels, row)
+            self._readapt_lambda(u, row.bias.view(), emptied)
 
-    def _readapt_lambda(self, u: int, biases: np.ndarray) -> None:
-        """Rebuild vertex ``u`` from its raw ``biases`` at a new λ when its
-        decimal mass passed 1/d (``BingoVertex.decimal_mass_high``),
-        ``choose_lambda`` picks another λ, and that λ's split fits int64.
-        The rebuild keeps the conversion and touch counters.
+    def _readapt_lambda(self, u: int, biases: np.ndarray, emptied: bool) -> None:
+        """Rebuild vertex ``u`` from its raw ``biases`` at a new λ when
+        ``choose_lambda`` picks another λ whose split fits int64, and
+        either its decimal mass passed 1/d
+        (``BingoVertex.decimal_mass_high``) or the batch deleted or
+        re-inserted every edge it had before (``emptied``): its inserts
+        then split at a λ that none of its biases chose. The rebuild keeps
+        the conversion and touch counters.
 
         It cannot raise, so a batch stays atomic: the biases passed the
         batch's checks, and ``choose_lambda`` only tries a λ that could
         overflow on vertices of degree above ~1e9."""
         v = self._v[u]
-        if not v.decimal_mass_high():
+        if not v.degree or not (emptied or v.decimal_mass_high()):
             return
         lam = bits.choose_lambda(biases)
         if lam == v.lam or biases.max() * lam >= bits.INT64_LIMIT:

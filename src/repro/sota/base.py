@@ -9,7 +9,8 @@ per-vertex sampling structures from scratch — the O(E)-per-round cost
 BINGO's incremental updates avoid.
 
 All comparators expose the same engine surface as ``BingoStore``
-(apply_batch / sample_next / has_edge / vertices / edges / memory_bytes),
+(apply_batch / sample_next / has_edge / edge_share / vertices / edges /
+memory_bytes),
 so the one walk engine and the one Table 3 loop drive every framework.
 They share BINGO's walker-dispatch kernel too (``core.store.dispatch``);
 each differs only in its ``rebuild`` and ``draw``.
@@ -21,7 +22,7 @@ import abc
 import numpy as np
 import pandas as pd
 
-from ..core.store import dispatch
+from ..core.store import dispatch, edge_shares
 from ..graphs.dynamic_graph import Adjacency
 
 
@@ -56,6 +57,18 @@ class StaticRebuildStore(abc.ABC):
 
     def edges(self) -> pd.DataFrame:
         return self.adj.edges()
+
+    def edge_share(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """w(u→x)/W(u) for each pair (u, x) of ``src`` and ``dst``, 0 where
+        there is no edge, with W(u) from ``row_total``."""
+        rows = self.adj.rows
+        return edge_shares(src, dst, rows,
+                           lambda u, i: rows[u].bias._buf[i] / self.row_total(u))
+
+    def row_total(self, u: int) -> float:
+        """W(u), the sum of ``u``'s biases: an O(d) scan of its row, which
+        engines with no per-vertex total pay within their O(d) draws."""
+        return float(self.adj.rows[u].bias.view().sum())
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
         """Next hop per walker (-1 for dead ends), through the same

@@ -26,5 +26,9 @@ class KnightKingStore(StaticRebuildStore):
         table = self._tables[u]
         return table.sample_one(rng) if m == 1 else table.sample(rng, m)
 
+    def row_total(self, u: int) -> float:
+        """W(u) as the alias table stores it: O(1)."""
+        return self._tables[u].total
+
     def structure_nbytes(self) -> int:
         return sum(t.nbytes for t in self._tables.values())

@@ -9,8 +9,12 @@ are drawn in one vectorized store call (the CPU analog of BINGO's
 per-vertex GPU kernels). Second-order (node2vec) walks use KnightKing's
 two-step approach, which the paper adopts (§7.3): sample from the
 static per-vertex space, then accept/reject against the history factor
-f(w, v) of Eq. 1 normalized by max(1/p, 1, 1/q). A rejected walker
-stays put and proposes again at the next inner step.
+f(prev, x) of Eq. 1 under the envelope h = max(1, 1/q). Two KnightKing
+devices keep that cheap. When 1/p > h, the return edge's mass beyond
+h·w is folded out of the envelope into an "outlier" region that moves
+the walker straight back; and a coin below every non-return factor
+accepts without the adjacency probe. A rejected walker stays put and
+proposes again at the next inner step.
 """
 from __future__ import annotations
 
@@ -32,8 +36,16 @@ class Node2VecParams:
             raise ValueError(f"p={self.p}, q={self.q} must be finite and positive")
 
     @property
-    def fmax(self) -> float:
-        return max(1.0 / self.p, 1.0, 1.0 / self.q)
+    def envelope(self) -> float:
+        """h = max(1, 1/q): the rejection envelope over every factor but
+        a return's 1/p, whose excess over h is the outlier region."""
+        return max(1.0, 1.0 / self.q)
+
+    @property
+    def lower_bound(self) -> float:
+        """min(1, 1/q): the least factor of a candidate other than the
+        previous vertex, so a coin below it accepts without a probe."""
+        return min(1.0, 1.0 / self.q)
 
 
 @dataclass
@@ -76,9 +88,10 @@ def advance(store, rng: np.random.Generator, cur: np.ndarray, step: np.ndarray,
     maps a vertex array to a mask). Each inner step flips the
     ``stop_prob`` coin for every moving walker, then draws one proposal
     per survivor; a walker at a dead end dies. With ``node2vec`` a walker
-    that has a previous vertex keeps its proposal with probability
-    f(prev, proposal) / fmax (Eq. 1, KnightKing's rejection); a rejected
-    walker keeps its vertex and step and proposes again next inner step.
+    that has a previous vertex goes through ``_second_order``, which
+    keeps its proposal, takes it back to the previous vertex, or rejects
+    it (Eq. 1, KnightKing's rejection); a rejected walker keeps its
+    vertex and step and proposes again next inner step.
     """
     going = alive & (step < length)
     prev = np.full(len(cur), -1, dtype=np.int64)
@@ -92,12 +105,8 @@ def advance(store, rng: np.random.Generator, cur: np.ndarray, step: np.ndarray,
         alive[idx[~ok]] = going[idx[~ok]] = False  # dead end
         if node2vec is not None:
             j = np.nonzero(ok & (prev[idx] >= 0))[0]
-            w, c = prev[idx[j]], nxt[j]
-            f = np.where(c == w, 1.0 / node2vec.p, 1.0)
-            for i in np.nonzero(c != w)[0]:
-                if not store.has_edge(int(w[i]), int(c[i])):
-                    f[i] = 1.0 / node2vec.q
-            ok[j] = rng.random(len(j)) * node2vec.fmax < f
+            ok[j], nxt[j] = _second_order(store, rng, node2vec, cur[idx[j]],
+                                          prev[idx[j]], nxt[j])
         idx = idx[ok]
         prev[idx] = cur[idx]
         cur[idx] = nxt[ok]
@@ -106,6 +115,36 @@ def advance(store, rng: np.random.Generator, cur: np.ndarray, step: np.ndarray,
         if stay is not None:
             going[idx] &= stay(cur[idx])
         yield idx
+
+
+def _second_order(store, rng, n2v: Node2VecParams, at, prev, cand):
+    """(accept mask, next vertex) of walkers at ``at`` that came from
+    ``prev`` and drew ``cand`` ∝ w(at, ·): KnightKing's rejection for
+    Eq. 1, exact for w(at, x)·f(prev, x).
+
+    One coin t per walker, uniform on [0, h + out), where h is
+    ``n2v.envelope`` and out = (1/p − h)·w(at→prev)/W(at) is the return
+    edge's mass beyond h·w when 1/p > h (else 0). A coin in [h, h + out)
+    is the outlier region: the walker moves back to ``prev``. Below h
+    the walker keeps ``cand`` and accepts when t < f(prev, cand), where a
+    return's factor is min(1/p, h). Only a candidate other than ``prev``
+    whose coin is at least ``n2v.lower_bound`` costs a ``has_edge``
+    probe. With 1/p <= h this is the plain rejection of f/h, and it
+    draws the same numbers.
+    """
+    h, f_back = n2v.envelope, 1.0 / n2v.p
+    t = rng.random(len(cand))
+    if f_back > h:
+        t *= h + (f_back - h) * store.edge_share(at, prev)
+        cand = np.where(t >= h, prev, cand)
+        f_back = np.inf  # any coin under h + out keeps a return
+    else:
+        t *= h
+    back = cand == prev
+    f = np.where(back, f_back, n2v.lower_bound)
+    for i in np.nonzero(~back & (t >= n2v.lower_bound))[0]:
+        f[i] = 1.0 if store.has_edge(int(prev[i]), int(cand[i])) else 1.0 / n2v.q
+    return t < f, cand
 
 
 def random_walk(

@@ -13,8 +13,10 @@ from repro.core.groups import KIND_DENSE
 from repro.core.store import resolve_net_effects
 from repro.graphs.dynamic_graph import Adjacency
 from repro.graphs.updates import make_update_plan, apply_updates
+from repro.oracle import assert_equivalent
 from repro.synth_data import graph_edges
-from tests.util import assert_distribution, rng, weights
+from tests.test_group_oracle import GROUPS_SQL
+from tests.util import assert_distribution, group_frame, rng, weights
 
 
 def per_event(st, batch):
@@ -281,6 +283,30 @@ class TestFloatStore:
         assert sum(v.conversions.values()) > 0
         hops = st.sample_next(rng(22), np.zeros(60_000, dtype=np.int64))
         assert_distribution((hops >= 5).astype(int), [4 / 19, 15 / 19])
+
+    @pytest.mark.parametrize("initial, batch", [
+        ({"dst": [1], "bias": [0.001]},
+         {"op": [-1, 1], "dst": [1, 2], "bias": [0, 3.0]}),
+        ({"dst": [1, 2], "bias": [0.001, 0.002]},
+         {"op": [-1, -1, 1], "dst": [1, 2, 2], "bias": [0, 0, 3.0]}),
+    ], ids=["deleted", "reinserted"])
+    def test_lambda_rechosen_when_batch_replaces_every_edge(self, initial, batch):
+        # 0.001 picks λ = 1000. The batch deletes or re-inserts every edge
+        # vertex 0 had, leaving one bias of 3.0: at λ = 1000 it would span
+        # the 7 groups of 3000's bits, at λ = 1 the groups 2^0 and 2^1.
+        initial = pd.DataFrame({"src": 0, **initial})
+        batch = pd.DataFrame({"src": 0, **batch})
+        st = BingoStore(initial)
+        old = st._v[0]
+        assert old.lam == 1000.0
+        st.apply_batch(batch)
+        v = st._v[0]
+        st.check_invariants()
+        assert v.lam == 1.0 and sorted(v.group_kinds()) == [0, 1]
+        assert v.conversions is old.conversions and v.touches is old.touches
+        lam = pd.DataFrame({"src": [0], "lam": [v.lam]})
+        assert_equivalent(group_frame([st]), GROUPS_SQL,
+                          edges=apply_updates(initial, [batch]), lam=lam)
 
     def test_lambda_at_cap_not_rebuilt(self):
         # Biases of 1e-12 miss the 1/d target at every λ, so λ sits at the

@@ -57,8 +57,11 @@ def test_update_work_counts(layers):
 
 def test_node2vec_spans_nest_in_the_walk(layers):
     # walk.n2v.has_edge_calls counts core.has_edge spans whose parent is
-    # walk.random_walk, and accept_ratio divides steps by sample_next work.
-    st = BingoStore(graph_edges("AM").head(2000))
+    # walk.random_walk, and accept_ratio divides steps by sample_next work:
+    # every proposal, a return to the previous vertex included, is drawn by
+    # sample_next. At the app's p = 0.5, q = 2 the envelope is 1, not 1/p.
+    # GO-lite has no dead end, whose draws would count as proposals too.
+    st = BingoStore(graph_edges("GO"))
     tr = layers.Tracer()
     with tr.installed():
         res = layers.apps.node2vec(st, np.random.default_rng(4), length=10, walkers=200)
@@ -66,4 +69,5 @@ def test_node2vec_spans_nest_in_the_walk(layers):
     has_edge = t["label"] == "core.has_edge"
     assert has_edge.any()
     assert (t["parent"][has_edge] == "walk.random_walk").all()
-    assert int(t["work"][t["label"] == "core.sample_next"].sum()) >= res.steps > 0
+    proposals = int(t["work"][t["label"] == "core.sample_next"].sum())
+    assert 1.6 * res.steps >= proposals >= res.steps > 0

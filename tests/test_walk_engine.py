@@ -1,9 +1,12 @@
 """Walk engine + application kernels: first-order bias correctness,
 node2vec's Eq. 1 second-order distribution, PPR termination, dead ends."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bench.table3 import STORES
 from repro.core import BingoStore
 from repro.walk import (
     Node2VecParams,
@@ -120,6 +123,106 @@ class TestNode2Vec:
         res = random_walk(st, [0] * 30_000, rng(10), length=1,
                           node2vec=Node2VecParams(0.25, 4.0))
         assert_distribution(res.paths[:, 1] - 1, [0.75, 0.25])
+
+
+def mixed_graph():
+    """40 vertices with 5 out-edges each and quarter-unit biases; about
+    half the edges have a reverse edge."""
+    r = np.random.default_rng(5)
+    edges = {}
+    for u in range(40):
+        for v in r.choice(np.delete(np.arange(40), u), 5, replace=False):
+            edges[(u, int(v))] = r.integers(1, 20) / 4
+            if r.random() < 0.5:
+                edges.setdefault((int(v), u), r.integers(1, 20) / 4)
+    src, dst = zip(*edges)
+    return pd.DataFrame({"src": src, "dst": dst, "bias": list(edges.values())})
+
+
+#: sha256 prefixes of the node2vec paths of ``test_paths_unchanged_without_fold``,
+#: recorded with the rejection under max(1/p, 1, 1/q) that had no outlier
+#: fold and probed every candidate.
+PLAIN_PATHS = {
+    ("bingo", 0.5, 0.5): "56fcdd6c9ac0f75c",
+    ("bingo", 2.0, 0.5): "e67193e726ad61a3",
+    ("bingo", 4.0, 2.0): "2dac2bf1fcbdceac",
+    ("knightking", 0.5, 0.5): "0166194773d61d4a",
+    ("knightking", 2.0, 0.5): "4a810df0b1924a11",
+    ("knightking", 4.0, 2.0): "f4cec6886b7b0d90",
+    ("gsampler", 0.5, 0.5): "ed806973f3f3b3c0",
+    ("gsampler", 2.0, 0.5): "590443f4dd4c4ed1",
+    ("gsampler", 4.0, 2.0): "0c93a1047a314d13",
+    ("flowwalker", 0.5, 0.5): "64e83301c32646a6",
+    ("flowwalker", 2.0, 0.5): "1dd9a8064a82fdba",
+    ("flowwalker", 4.0, 2.0): "0fcfc0997c861b37",
+}
+
+
+class Counting:
+    """A store that counts its proposals (walkers drawn) and its
+    ``has_edge`` probes."""
+
+    def __init__(self, store):
+        self.store, self.proposals, self.probes = store, 0, 0
+
+    def sample_next(self, r, cur):
+        self.proposals += len(cur)
+        return self.store.sample_next(r, cur)
+
+    def has_edge(self, u, x):
+        self.probes += 1
+        return self.store.has_edge(u, x)
+
+    def edge_share(self, src, dst):
+        return self.store.edge_share(src, dst)
+
+
+@pytest.mark.parametrize("fw", list(STORES))
+class TestNode2VecFold:
+    """The return outlier and the lower bound of the rejection, on every
+    store the engine walks."""
+
+    #: (p, q, whether 1 -> 0 exists). The first two fold 1/p = 4 and 5 out
+    #: of the envelope; without 1 -> 0 there is nothing to fold.
+    CASES = {"fold": (0.25, 2.0, True), "fold_q_below_one": (0.2, 0.5, True),
+             "no_return_edge": (0.25, 2.0, False), "p_above_one": (2.0, 0.5, True)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_eq1_with_biases(self, fw, case):
+        # Walks 0 -> 1 -> x. From 1: 0 is the return, 2 is at distance 1
+        # (0 -> 2 exists), 3 and 4 at distance 2.
+        p, q, back = self.CASES[case]
+        w = {0: 2.5, 2: 1.5, 3: 4.0, 4: 0.75}
+        if not back:
+            del w[0]
+        rows = [(0, 1, 9.0), (0, 2, 1.0), *[(1, x, b) for x, b in w.items()],
+                (2, 0, 1.0), (3, 1, 1.0), (4, 1, 2.0)]
+        st = STORES[fw](pd.DataFrame(rows, columns=["src", "dst", "bias"]))
+        res = random_walk(st, [0] * 60_000, rng(23), length=2,
+                          node2vec=Node2VecParams(p=p, q=q))
+        two = res.paths[res.paths[:, 1] == 1, 2]
+        xs = list(w)
+        f = {0: 1 / p, 2: 1.0, 3: 1 / q, 4: 1 / q}
+        expect = np.array([w[x] * f[x] for x in xs])
+        assert (two >= 0).all()
+        assert_distribution(np.searchsorted(xs, two), expect / expect.sum())
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.5), (2.0, 0.5), (4.0, 2.0)])
+    def test_paths_unchanged_without_fold(self, fw, p, q):
+        # 1/p <= max(1, 1/q): nothing folds, and the coins are drawn as
+        # before, so the walks are too.
+        res = random_walk(STORES[fw](mixed_graph()), np.arange(40).repeat(10), rng(7),
+                          length=12, node2vec=Node2VecParams(p, q))
+        assert hashlib.sha256(res.paths.tobytes()).hexdigest()[:16] == PLAIN_PATHS[fw, p, q]
+
+    def test_probe_budget(self, fw):
+        # At p = 0.5, q = 2 a return is never probed, and a coin below
+        # 1/q = 0.5 accepts any other candidate unprobed.
+        st = Counting(STORES[fw](mixed_graph()))
+        res = random_walk(st, np.arange(40).repeat(25), rng(24), length=20,
+                          node2vec=Node2VecParams(0.5, 2.0))
+        assert res.steps == 1000 * 20
+        assert st.probes <= 0.6 * st.proposals
 
 
 class TestPPR:
