@@ -6,8 +6,9 @@ before any store changes. Then each vertex's requests run together:
 inter-group table rebuild per vertex per batch (instead of one per op on
 the streaming path — the source of the ~1000x gap in Fig. 12).
 
-Deletes swap one edge at a time, on the row and then on the sampler at
-the index the row vacated. The paper's two-phase delete (Fig. 10(b))
+Deletes swap one edge at a time: the sampler's groups let the edge go
+while the row still holds it, then the row swaps it out of the biases
+the sampler reads. The paper's two-phase delete (Fig. 10(b))
 keeps concurrent GPU threads from moving a doomed tail entry into a
 doomed slot; one thread swapping one edge at a time always moves a live
 tail entry, so it needs no plan.
@@ -72,10 +73,12 @@ def resolve_net_effects(has_edge, batch: pd.DataFrame):
 
 def batched_delete(v: BingoVertex, dsts, row) -> None:
     """Delete the edges to ``dsts`` from adjacency ``row`` and sampler
-    ``v``: each is one swap on both sides, O(K) per edge through the
-    inverted indices. Caller finalizes."""
+    ``v``, which samples over the row's biases: the sampler's groups
+    first, while the row still holds the edge, then the row's swap —
+    O(K) per edge through the inverted indices. Caller finalizes."""
     for dst in dsts:
-        v._delete_index(row.delete(dst))
+        v._delete_index(row.pos[dst])
+        row.delete(dst)
 
 
 def apply_vertex_batch(v: BingoVertex, inserts, deletes, row) -> None:
@@ -90,9 +93,10 @@ def apply_vertex_batch(v: BingoVertex, inserts, deletes, row) -> None:
     """
     for dst, bias in inserts:
         if dst in row.pos:
-            v._delete_index(row.delete(dst))
-        v._insert_edge(bias)
+            v._delete_index(row.pos[dst])
+            row.delete(dst)
         row.append(dst, bias)
+        v._insert_edge()
     if deletes:
         batched_delete(v, deletes, row)
     v._finalize_update()

@@ -1,23 +1,27 @@
 """Per-vertex BINGO sampling structure (paper §4, §5.1).
 
-One ``BingoVertex`` holds the integer parts of a vertex's λ-scaled
-biases (a Hornet-style dynamic array), one table of its groups and the
-inter-group alias table. The table keys the radix groups by bit position
-and the optional decimal group of the floating-point scheme (the only
-copy of the decimal parts) by ``DECIMAL_KEY``; that group is drawn last
-and never reclassified. It
+One ``BingoVertex`` holds the float64 bias array it samples over — in a
+``BingoStore`` its adjacency row's ``bias`` (``graphs.dynamic_graph``),
+standalone an array of its own — plus one table of its groups and the
+inter-group alias table. It copies no bias: a bias's integer part
+floor(w·λ) and decimal part w·λ − floor(w·λ) are derived where a draw
+or an update reads them. The table keys the radix groups by bit
+position and the optional decimal group of the floating-point scheme by
+``DECIMAL_KEY``; that group is drawn last and never reclassified. It
 knows no destination ids: like every ``VertexSampler`` it works on
 adjacency indices in [0, d), and the owning store maps drawn indices to
-destinations through its adjacency row (``graphs.dynamic_graph``). It
-implements:
+destinations through its adjacency row. It implements:
 
 - hierarchical O(1) sampling (inter-group alias → intra-group unbiased,
   Eq. 5-7);
 - O(K) streaming insert (§4.2): append to each touched group, rebuild
   the K-entry inter-group alias table;
 - O(K) streaming delete (§4.2): delete-and-swap in each touched group,
-  plus the adjacency's swap with index renaming propagated via
-  ``replace_index`` — the one delete the batched path (§5.2) repeats;
+  with the tail's renaming propagated via ``replace_index``, then the
+  bias array's swap — the one delete the batched path (§5.2) repeats.
+  The row appends a bias before ``_insert_edge`` reads it, and
+  swap-deletes one after ``_delete_index``; the standalone ``insert``
+  and ``delete`` do so on the vertex's own array;
 - adaptive group representations (§5.1) with on-the-fly reclassification
   and conversion counters (the raw data behind the paper's Table 4);
 - floating-point biases via the λ amortization factor (§4.3), with one
@@ -32,6 +36,7 @@ the paper's "BS" baseline from Figures 11/13.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -58,15 +63,17 @@ class BingoVertex(VertexSampler):
     name = "bingo"
 
     def __init__(self, biases, *, adaptive: bool = True) -> None:
-        raw = bits.check_biases(biases)
+        # A row's DynArray (checked as its biases came in) is shared.
+        self._b = biases if isinstance(biases, DynArray) else DynArray.from_values(
+            bits.check_biases(biases), dtype=np.float64)
         self.adaptive = adaptive
         self.conversions: Counter = Counter()   # (from_kind, to_kind) -> count
         self.touches: Counter = Counter()       # kind -> update ops touching it
 
         # The groups, from the integer and the decimal parts — O(d·K).
+        raw = self._b.view()
         self.lam = bits.choose_lambda(raw)
-        ints, fracs = bits.float_split(raw, self.lam)
-        self._ints = DynArray.from_values(ints, dtype=np.int64)
+        ints, decs = bits.float_split(raw, self.lam)
         self._groups: dict = {}
         for k in range(bits.num_bits(int(ints.max(initial=0)))):
             members = bits.group_members(ints, k)
@@ -74,17 +81,15 @@ class BingoVertex(VertexSampler):
                 self._groups[k] = make_group(
                     self._classify(len(members)), k, members, len(ints)
                 )
-        dec = np.nonzero(fracs > 0)[0]
+        dec = np.nonzero(decs > 0)[0]
         if len(dec):
-            self._groups[DECIMAL_KEY] = DecimalGroup(dec, fracs[dec])
+            self._groups[DECIMAL_KEY] = DecimalGroup(dec, decs[dec])
         self._rebuild_inter()
 
     # -- construction -------------------------------------------------------
 
     def _classify(self, size: int) -> str:
-        if not self.adaptive:
-            return "regular"
-        return classify(size, self.degree)
+        return classify(size, self.degree) if self.adaptive else "regular"
 
     def _rebuild_inter(self) -> None:
         """Rebuild the K-entry inter-group alias table (Eq. 5) — O(K),
@@ -99,16 +104,21 @@ class BingoVertex(VertexSampler):
 
     @property
     def degree(self) -> int:
-        return len(self._ints)
+        return self._b._n
 
-    def int_bias_view(self) -> np.ndarray:
-        """Integer-part biases — what dense-group rejection tests against."""
-        return self._ints.view()
+    def int_parts(self) -> np.ndarray:
+        """floor(w·λ) at every index: O(d), so never for a draw."""
+        return bits.float_split(self._b.view(), self.lam)[0]
+
+    def frac_parts(self, idx):
+        """w·λ − floor(w·λ) at an adjacency index or an index array."""
+        scaled = self._b._buf[idx] * self.lam
+        return scaled - np.floor(scaled)
 
     def weight_of(self, index: int) -> float:
-        """Effective (λ-scaled) sampling weight of adjacency index."""
-        dec = self._groups.get(DECIMAL_KEY)
-        return float(self._ints[index]) + (0.0 if dec is None else dec.frac_of(index))
+        """Effective sampling weight w·λ of adjacency index, whose int()
+        is its integer part."""
+        return float(self._b[index]) * self.lam
 
     @property
     def total_weight(self) -> float:
@@ -176,14 +186,6 @@ class BingoVertex(VertexSampler):
 
     # -- streaming updates (§4.2) -------------------------------------------
 
-    def _split_bias(self, bias) -> tuple[int, float]:
-        """(integer part, decimal part) of the λ-scaled bias."""
-        scaled = float(bias) * self.lam
-        ip = int(np.floor(scaled))
-        if ip >= bits.INT64_LIMIT:
-            raise ValueError(f"bias {bias} at λ={self.lam} overflows int64")
-        return ip, scaled - ip
-
     def _group_insert(self, k: int, idx: int) -> None:
         g = self._groups.get(k)
         if g is None:
@@ -204,37 +206,40 @@ class BingoVertex(VertexSampler):
         data for Table 4). Non-adaptive mode keeps everything regular."""
         if not self.adaptive or self.degree == 0:
             return
-        ints = self._ints.view()
         for k, g in list(self._groups.items()):
             if k == DECIMAL_KEY or (desired := self._classify(g.size)) == g.kind:
                 continue
             members = (
-                bits.group_members(ints, k)
+                bits.group_members(self.int_parts(), k)
                 if g.kind == KIND_DENSE
                 else g.members_array()
             )
             self.conversions[(g.kind, desired)] += 1
             self._groups[k] = make_group(desired, k, members, self.degree)
 
-    def _insert_edge(self, bias) -> int:
-        """Intra-group part of insertion; caller must ``_finalize_update``."""
-        bias = bits.check_bias(bias)
-        if self.degree == 0:
-            self.lam = bits.choose_lambda([bias])  # free: every group is empty
-        ip, frac = self._split_bias(bias)
-        idx = self._ints.append(ip)
+    def _insert_edge(self) -> int:
+        """Intra-group part of inserting the bias appended at index d-1;
+        caller must ``_finalize_update``. Raises ``ValueError``, before
+        any group changes, when its λ-split overflows int64."""
+        idx = self.degree - 1
+        if idx == 0:  # free: every group is empty
+            self.lam = bits.choose_lambda(self._b.view())
+        scaled = self.weight_of(idx)
+        ip = math.floor(scaled)
+        if ip >= bits.INT64_LIMIT:
+            raise ValueError(f"bias {self._b[idx]} at λ={self.lam} overflows int64")
         for k in bits.bit_positions(ip):
             self._group_insert(k, idx)
-        if frac > 0:
+        if scaled > ip:
             dec = self._groups.get(DECIMAL_KEY)
             if dec is None:
                 dec = self._groups[DECIMAL_KEY] = DecimalGroup([], [])
-            dec.insert(idx, frac)
+            dec.insert(idx, scaled - ip)
         return idx
 
     def _keys_of(self, idx: int) -> list:
         """Keys of the groups adjacency index ``idx`` is a member of."""
-        keys = bits.bit_positions(int(self._ints[idx]))
+        keys = bits.bit_positions(int(self.weight_of(idx)))
         dec = self._groups.get(DECIMAL_KEY)
         if dec is not None and idx in dec.inv:
             keys.append(DECIMAL_KEY)
@@ -243,20 +248,22 @@ class BingoVertex(VertexSampler):
     def _delete_index(self, idx: int) -> None:
         """Intra-group part of deletion; caller must ``_finalize_update``.
 
-        ``idx`` leaves its groups, then the tail d-1 is renamed to ``idx``:
-        the same swap its adjacency row's delete made."""
+        Runs before the bias array's swap-delete at ``idx``: ``idx``
+        leaves its groups, then the tail d-1 is renamed to ``idx``, as
+        that swap will move it."""
         for k in self._keys_of(idx):
             g = self._groups[k]
-            if k != DECIMAL_KEY:
+            if k == DECIMAL_KEY:
+                g.delete(idx, self)
+            else:
                 self.touches[g.kind] += 1
-            g.delete(idx)
+                g.delete(idx)
             if g.kind == KIND_ONE or g.size == 0:
                 del self._groups[k]
         last = self.degree - 1
         if idx != last:
             for k in self._keys_of(last):
                 self._groups[k].replace_index(last, idx)
-        self._ints.pop_swap(idx)
 
     def _finalize_update(self) -> None:
         """Reclassify + rebuild the inter-group table — once per streaming
@@ -266,33 +273,42 @@ class BingoVertex(VertexSampler):
 
     def insert(self, bias) -> int:
         """Streaming insertion (§4.2) — O(K) plus rare conversions;
-        returns the new index d-1."""
-        idx = self._insert_edge(bias)
+        returns the new index d-1. A bias that raises is not kept."""
+        self._b.append(bits.check_bias(bias))
+        try:
+            idx = self._insert_edge()
+        except ValueError:
+            self._b.pop_swap(self.degree - 1)
+            raise
         self._finalize_update()
         return idx
 
     def delete(self, index: int) -> None:
-        """Streaming deletion (§4.2): ``_delete_index`` plus one rebuild."""
-        self._delete_index(int(index))
+        """Streaming deletion (§4.2): ``_delete_index``, the bias
+        array's swap-delete, then one rebuild."""
+        index = int(index)
+        self._delete_index(index)
+        self._b.pop_swap(index)
         self._finalize_update()
 
     # -- memory accounting (§4.4, Fig. 11, Table 3) --------------------------
 
     @property
     def nbytes(self) -> int:
-        """Sampling-structure bytes: groups + inverted indices + inter table
-        + the integer-part array (decimal parts live in the decimal group)."""
+        """Sampling-structure bytes: groups + inverted indices + inter
+        table; the bias array is the adjacency's."""
         n = sum(g.nbytes for g in self._groups.values())
         if self._inter is not None:
             n += self._inter.nbytes + 8 * len(self._inter_keys)
-        return n + self._ints.nbytes
+        return n
 
     # -- invariants (tests) --------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Assert the structure matches a from-scratch reconstruction."""
-        ints = self._ints.view()
+        """Assert the structure matches a from-scratch reconstruction
+        from the bias array."""
         d = self.degree
+        ints, decs = bits.float_split(self._b.view(), self.lam)
         K = bits.num_bits(int(ints.max(initial=0))) if d else 0
         W = bits.group_weights(ints, K)
         keys = []
@@ -310,16 +326,16 @@ class BingoVertex(VertexSampler):
             if g.kind != KIND_DENSE:
                 np.testing.assert_array_equal(g.members_array(), expect)
             keys.append(k)
-        # The decimal group: an inverted index that matches its members,
-        # which are distinct indices in [0, d), each with a decimal part in
-        # (0, 1). ``BingoStore.check_invariants`` checks the parts' values.
+        # The decimal group: the indices with a decimal part, an inverted
+        # index that matches them, their parts' sum and a bound on them.
         dec = self._groups.get(DECIMAL_KEY)
+        expect = np.nonzero(decs > 0)[0]
+        assert (dec is None) == (len(expect) == 0), "decimal group stale"
         if dec is not None:
-            m, fr = dec.members.view(), dec.fracs.view()
-            assert dec.inv == {int(x): p for p, x in enumerate(m)}
-            assert 0 < len(m) == len(fr) and ((0 <= m) & (m < d)).all()
-            assert ((0 < fr) & (fr < 1)).all() and dec._max >= fr.max()
-            assert abs(dec.weight() - fr.sum()) < 1e-9 * max(1, d)
+            assert dec.inv == {int(x): p for p, x in enumerate(dec.members.view())}
+            np.testing.assert_array_equal(dec.members_array(), expect)
+            assert dec._max >= decs.max()
+            assert abs(dec.weight() - decs.sum()) < 1e-9 * max(1, d)
             keys.append(DECIMAL_KEY)
         # The inter-group table draws each group with Eq. 5's W(p_k)/ΣW.
         assert self._inter_keys == keys and len(self._groups) == len(keys), (

@@ -102,11 +102,11 @@ def float_split(biases, lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 def decimal_mass_ratio(biases, lam: float) -> float:
     """W_D / (W_I + W_D) for a candidate λ (§4.4 complexity analysis)."""
-    ints, fracs = float_split(biases, lam)
-    total = float(ints.sum() + fracs.sum())
+    ints, decs = float_split(biases, lam)
+    total = float(ints.sum() + decs.sum())
     if total == 0:
         return 1.0
-    return float(fracs.sum()) / total
+    return float(decs.sum()) / total
 
 
 def choose_lambda(biases) -> float:

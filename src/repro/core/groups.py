@@ -20,11 +20,12 @@ Adaptive representations (Eq. 9, α=40, β=10):
 
 Regular, sparse and decimal groups support O(1) ``insert``/``delete``
 (via the inverted index + delete-and-swap); the decimal group is a
-sparse group that also keeps its members' fractional weights, and sits
-in the owning vertex's one group table next to the radix groups. A
-one-element group cannot grow, so the owning vertex re-creates it.
-Every group has O(1) ``replace_index`` so the owning vertex can follow
-the index its adjacency row's swap-deletion moved.
+sparse group that also tracks the sum and a bound of its members'
+decimal parts, in the owning vertex's one group table next to the radix
+groups. A one-element group cannot grow, so the owning vertex re-creates
+it. Every group has O(1) ``replace_index`` so the owning vertex can
+follow the index its adjacency row's swap-deletion moved. No group
+copies a bias; the parts it tests are derived from the vertex's biases.
 ``BingoVertex.sample`` inlines the vectorized draw of regular, sparse
 and one-element groups. Dense and decimal groups draw by rejection:
 ``sample`` through the one vectorized loop (``rejection.rejection_loop``),
@@ -36,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynarray import DynArray
-from .rejection import rejection_draw, rejection_loop
+from .rejection import MAX_ROUNDS, rejection_loop
 
 ALPHA = 40.0  # dense threshold, percent (paper §5.1)
 BETA = 10.0   # sparse threshold, percent (paper §5.1)
@@ -47,23 +48,21 @@ KIND_SPARSE = "sparse"
 KIND_REGULAR = "regular"
 KIND_DECIMAL = "decimal"
 
-_MAX_REJECT_ROUNDS = 10_000
-
 # Accounting size of one python-dict entry standing in for a compacted
 # GPU-side inverted-index slot (key + value + bucket overhead).
 _DICT_ENTRY_BYTES = 16
 
 
-def classify(size: int, degree: int, *, alpha: float = ALPHA, beta: float = BETA) -> str:
+def classify(size: int, degree: int) -> str:
     """Eq. 9, applied in the paper's listed order (dense wins ties)."""
     if degree <= 0 or size <= 0:
         raise ValueError("classify needs positive size and degree")
     ratio = 100.0 * size / degree
-    if ratio > alpha:
+    if ratio > ALPHA:
         return KIND_DENSE
     if size == 1:
         return KIND_ONE
-    if ratio < beta:
+    if ratio < BETA:
         return KIND_SPARSE
     return KIND_REGULAR
 
@@ -215,8 +214,9 @@ class DenseGroup:
 
     Keeps neither a member list nor an inverted index; intra-group
     sampling draws uniformly from the vertex's *original* neighbor list
-    and accepts when the candidate's (integer) bias has bit k set. The
-    rejection ratio is bounded by 1 - α% because density > α%.
+    and accepts when bit k of floor(w·λ) is set: when w·(λ/2^k) has an
+    odd integer part, which float64 gets exactly as λ/2^k only shifts the
+    exponent. The rejection ratio is bounded by 1 - α%.
     """
 
     kind = KIND_DENSE
@@ -245,16 +245,16 @@ class DenseGroup:
         pass  # no stored indices to rename
 
     def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        ints, k = vertex.int_bias_view(), self.k
-        return rejection_loop(rng, size, len(ints), lambda c: ((ints[c] >> k) & 1).astype(bool))
+        b, s = vertex._b, vertex.lam / (1 << self.k)
+        return rejection_loop(
+            rng, size, b._n, lambda c: ((b._buf[c] * s).astype(np.int64) & 1).astype(bool))
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        ints = vertex.int_bias_view()
-        d = len(ints)
-        k = self.k
-        for _ in range(_MAX_REJECT_ROUNDS):
+        b, s = vertex._b, vertex.lam / (1 << self.k)
+        buf, d = b._buf, b._n
+        for _ in range(MAX_ROUNDS):
             cand = int(rng.random() * d)
-            if (int(ints[cand]) >> k) & 1:
+            if float(buf[cand]) * s % 2 >= 1:
                 return cand
         raise RuntimeError("dense-group rejection failed to converge")
 
@@ -264,65 +264,53 @@ class DenseGroup:
 
 
 class DecimalGroup(SparseGroup):
-    """The single fractional-parts group of the float-bias scheme (§4.3).
-
-    A sparse group whose members also carry their decimal parts after λ
-    scaling, at the same positions: the only copy of those parts. The
+    """The single fractional-parts group of the float-bias scheme (§4.3):
+    a sparse group over the indices with a decimal part w·λ − floor(w·λ)
+    > 0 that keeps the parts' sum and an upper bound, not the parts. The
     weights are heterogeneous, so intra-group sampling is rejection
-    against a tracked upper bound, as the paper prescribes ("adopt ITS
-    or rejection").
+    against the bound, as the paper prescribes ("adopt ITS or rejection").
     """
 
     kind = KIND_DECIMAL
-    __slots__ = ("fracs", "_total", "_max")
+    __slots__ = ("_total", "_max")
 
-    def __init__(self, members, fracs):
+    def __init__(self, members, decs):
         super().__init__(-1, members)  # k = -1: not a radix position
-        self.fracs = DynArray.from_values(fracs, dtype=np.float64)
-        self._total = float(self.fracs.view().sum())
-        self._max = float(self.fracs.view().max(initial=0.0))
+        decs = np.asarray(decs, dtype=np.float64)
+        self._total = float(decs.sum())
+        self._max = float(decs.max(initial=0.0))
 
     def weight(self) -> float:
         return self._total
 
-    def frac_of(self, idx: int) -> float:
-        """The decimal part of adjacency index ``idx`` (0 if none)."""
-        pos = self.inv.get(idx)
-        return 0.0 if pos is None else float(self.fracs._buf[pos])
-
     def insert(self, idx: int, frac: float) -> None:
         super().insert(idx)
-        self.fracs.append(frac)
         self._total += frac
         self._max = max(self._max, frac)
 
-    def delete(self, idx: int) -> None:
-        pos = self.inv[idx]
-        gone = float(self.fracs[pos])
+    def delete(self, idx: int, vertex) -> None:
+        """Remove ``idx`` while ``vertex``'s bias array still holds it."""
+        gone = float(vertex.frac_parts(idx))
         super().delete(idx)
-        self.fracs.pop_swap(pos)
         self._total -= gone
         # A stale (too-large) max only raises the rejection rate, never
         # biases the draw; refresh when the max itself left.
         if gone >= self._max:
-            self._max = float(self.fracs.view().max(initial=0.0))
+            self._max = float(vertex.frac_parts(self.members.view()).max(initial=0.0))
 
     def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        m, f = self.members.view(), self.fracs.view()
-        return m[rejection_draw(rng, f, self._max, size)]
+        m = self.members.view()
+        return m[rejection_loop(
+            rng, size, len(m),
+            lambda c: rng.random(len(c)) * self._max < vertex.frac_parts(m[c]))]
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        m = self.members.view()
-        f = self.fracs.view()
-        for _ in range(_MAX_REJECT_ROUNDS):
-            pos = int(rng.random() * len(m))
-            if rng.random() * self._max < f[pos]:
-                return int(m[pos])
+        m = self.members
+        for _ in range(MAX_ROUNDS):
+            idx = int(m._buf[int(rng.random() * m._n)])
+            if rng.random() * self._max < vertex.frac_parts(idx):
+                return idx
         raise RuntimeError("decimal-group rejection failed to converge")
-
-    @property
-    def nbytes(self) -> int:
-        return super().nbytes + self.fracs.nbytes
 
 
 _GROUP_CLASSES = {

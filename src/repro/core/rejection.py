@@ -5,7 +5,8 @@ expected cost O(d * max(w) / Σw) per draw. Insertion is an O(1) append
 (the max is updated monotonically); deletion follows Table 1's O(d)
 cost because without an inverted index the max may need a rescan.
 ``rejection_loop`` is the one vectorized rejection loop: BINGO's dense
-(bit test) and decimal groups draw through it too.
+(bit test) and decimal groups draw through it too. ``MAX_ROUNDS`` caps
+every rejection draw, vectorized or scalar.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .sampler_api import WeightArraySampler
 
-_MAX_ROUNDS = 10_000
+MAX_ROUNDS = 10_000
 
 
 def rejection_loop(rng: np.random.Generator, size: int, d: int, accept) -> np.ndarray:
@@ -22,7 +23,7 @@ def rejection_loop(rng: np.random.Generator, size: int, d: int, accept) -> np.nd
     and keeps those the ``accept(cand)`` mask passes."""
     out = np.empty(size, dtype=np.int64)
     pending = np.arange(size)
-    for _ in range(_MAX_ROUNDS):
+    for _ in range(MAX_ROUNDS):
         if len(pending) == 0:
             return out
         cand = (rng.random(len(pending)) * d).astype(np.int64)
@@ -30,19 +31,6 @@ def rejection_loop(rng: np.random.Generator, size: int, d: int, accept) -> np.nd
         out[pending[ok]] = cand[ok]
         pending = pending[~ok]
     raise RuntimeError("rejection sampling failed to converge")
-
-
-def rejection_draw(rng: np.random.Generator, weights: np.ndarray, max_w: float,
-                   size: int) -> np.ndarray:
-    """Rejection over a weight vector: accept candidate i with
-    probability w_i / ``max_w``.
-
-    ``max_w`` may be any upper bound >= true max — correctness holds,
-    only the acceptance rate suffers (this is exactly how a stale max
-    behaves in the real structure).
-    """
-    return rejection_loop(rng, size, len(weights),
-                          lambda c: rng.random(len(c)) * max_w < weights[c])
 
 
 class RejectionSampler(WeightArraySampler):
@@ -68,4 +56,6 @@ class RejectionSampler(WeightArraySampler):
         return self._total
 
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rejection_draw(rng, self._w.view(), self._max, size)
+        """Accept candidate i with probability w_i / max(w)."""
+        w, max_w = self._w.view(), self._max
+        return rejection_loop(rng, size, len(w), lambda c: rng.random(len(c)) * max_w < w[c])

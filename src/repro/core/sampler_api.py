@@ -14,6 +14,8 @@ on the adjacency itself), so the sampler and the adjacency stay aligned.
 Every method rejects a bias that is not finite and positive, at build
 and at insert. The Table 1 baselines share ``WeightArraySampler``'s raw
 weight array and differ only in their draw and their update rule.
+``BingoVertex`` samples over one raw float64 bias array too, in a store
+its adjacency row's, and copies no part of it.
 """
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ class VertexSampler(abc.ABC):
     @property
     @abc.abstractmethod
     def nbytes(self) -> int:
-        """Bytes held by the sampling structure (Table 1 memory column)."""
+        """Bytes held by the sampling structure (Table 1 memory column);
+        BINGO's leave out the bias array, which its adjacency row owns."""
 
 
 class WeightArraySampler(VertexSampler):

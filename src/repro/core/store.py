@@ -76,8 +76,7 @@ class BingoStore:
     def __init__(self, edges: pd.DataFrame) -> None:
         self.adj = dynamic_graph.Adjacency.from_edges(edges)
         self._v: dict[int, BingoVertex] = {
-            u: BingoVertex(row.bias.view())
-            for u, row in self.adj.rows.items()
+            u: BingoVertex(row.bias) for u, row in self.adj.rows.items()
         }
 
     # -- queries -------------------------------------------------------------
@@ -136,20 +135,20 @@ class BingoStore:
             if max(b for _, b in ins) * lam >= bits.INT64_LIMIT:
                 raise ValueError(f"a bias into vertex {u} at λ={lam} overflows int64")
         for u in set(inserts) | set(deletes):
+            row = self.adj.row(u)
             v = self._v.get(u)
             if v is None:
-                v = self._v[u] = BingoVertex([])
+                v = self._v[u] = BingoVertex(row.bias)
             ins, dels = inserts.get(u, []), deletes.get(u, [])
-            row = self.adj.row(u)
             # Whether the batch deleted or re-inserted every edge it had.
             d = v.degree
             emptied = 0 < d <= len(ins) + len(dels) and (
                 d == len(dels) + sum(dst in row.pos for dst, _ in ins))
             apply_vertex_batch(v, ins, dels, row)
-            self._readapt_lambda(u, row.bias.view(), emptied)
+            self._readapt_lambda(u, row.bias, emptied)
 
-    def _readapt_lambda(self, u: int, biases: np.ndarray, emptied: bool) -> None:
-        """Rebuild vertex ``u`` from its raw ``biases`` at a new λ when
+    def _readapt_lambda(self, u: int, biases, emptied: bool) -> None:
+        """Rebuild vertex ``u`` over its row's ``biases`` at a new λ when
         ``choose_lambda`` picks another λ whose split fits int64, and
         either its decimal mass passed 1/d
         (``BingoVertex.decimal_mass_high``) or the batch deleted or
@@ -163,8 +162,8 @@ class BingoStore:
         v = self._v[u]
         if not v.degree or not (emptied or v.decimal_mass_high()):
             return
-        lam = bits.choose_lambda(biases)
-        if lam == v.lam or biases.max() * lam >= bits.INT64_LIMIT:
+        lam = bits.choose_lambda(biases.view())
+        if lam == v.lam or biases.view().max() * lam >= bits.INT64_LIMIT:
             return
         new = self._v[u] = BingoVertex(biases)
         new.conversions, new.touches = v.conversions, v.touches
@@ -192,15 +191,13 @@ class BingoStore:
         return hist
 
     def check_invariants(self) -> None:
-        """Every sampler matches a from-scratch rebuild and stays aligned
-        with its adjacency row: same degree, and the sampler's weight at
-        each index is the row's raw bias there, λ-scaled."""
+        """Every sampler samples over its adjacency row's bias array
+        itself, and matches a from-scratch rebuild from it; every row's
+        arrays and locate map agree."""
         assert self._v.keys() == self.adj.rows.keys()
         for u, v in self._v.items():
-            v.check_invariants()
             row = self.adj.rows[u]
-            d = len(row.dst)
-            assert v.degree == d == len(row.pos)
+            assert v._b is row.bias, f"vertex {u} samples over a copy of its biases"
+            v.check_invariants()
+            assert len(row.dst) == len(row.bias) == len(row.pos)
             assert all(int(row.dst[i]) == dst for dst, i in row.pos.items())
-            w = np.array([v.weight_of(i) for i in range(d)], dtype=np.float64)
-            np.testing.assert_array_equal(w, row.bias.view() * v.lam)

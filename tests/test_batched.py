@@ -43,7 +43,7 @@ def eq7_probs(v):
     for key in v._inter_keys:
         g = v.group(key)
         members = (
-            bits.group_members(v.int_bias_view(), key)
+            bits.group_members(v.int_parts(), key)
             if g.kind == KIND_DENSE
             else g.members_array()
         )
@@ -55,8 +55,8 @@ def batched_delete_layout(d, victims):
     """Delete ``victims`` from a degree-``d`` vertex with the batch path,
     check it against the streaming path, and return the row's dsts."""
     biases = rng(d).integers(1, 256, d)
-    v_batch, row = BingoVertex(biases), row_of(np.arange(d), biases)
-    v_stream, row_s = BingoVertex(biases), row_of(np.arange(d), biases)
+    row, row_s = row_of(np.arange(d), biases), row_of(np.arange(d), biases)
+    v_batch, v_stream = BingoVertex(row.bias), BingoVertex(biases)
     apply_vertex_batch(v_batch, [], victims, row)
     for dst in victims:
         v_stream.delete(row_s.delete(dst))
@@ -101,8 +101,8 @@ class TestBatchedVertexOps:
         batched_delete_layout(30, victims)
 
     def test_apply_vertex_batch_insert_then_delete(self):
-        v = BingoVertex([4, 5, 6])
         row = row_of([1, 2, 3], [4, 5, 6])
+        v = BingoVertex(row.bias)
         apply_vertex_batch(v, [(7, 8), (9, 2)], [1, 3], row)
         v.check_invariants()
         assert sorted(row.dst.view()) == [2, 7, 9]
@@ -112,8 +112,8 @@ class TestBatchedVertexOps:
     def test_single_rebuild_distribution(self):
         g = rng(4)
         biases = g.integers(1, 64, 20)
-        v = BingoVertex(biases)
         row = row_of(np.arange(20), biases)
+        v = BingoVertex(row.bias)
         apply_vertex_batch(v, [(100, 32), (101, 7)], [0, 5, 19], row)
         v.check_invariants()
         assert weights(v) == row.bias.view().tolist()
@@ -121,8 +121,8 @@ class TestBatchedVertexOps:
         assert_distribution(v.sample(rng(5), 60_000), probs)
 
     def test_float_vertex_batch(self):
-        v = BingoVertex([0.5, 1.5, 2.5])
         row = row_of([1, 2, 3], [0.5, 1.5, 2.5])
+        v = BingoVertex(row.bias)
         apply_vertex_batch(v, [(4, 0.25)], [2], row)
         v.check_invariants()
         assert sorted(row.dst.view()) == [1, 3, 4]

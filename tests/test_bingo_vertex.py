@@ -145,7 +145,8 @@ class TestStreamingInsert:
         # weights: check_invariants must see that. Regular groups keep
         # every other check passing.
         v = BingoVertex([1, 2], adaptive=False)
-        v._insert_edge(bias)
+        v._b.append(bias)
+        v._insert_edge()
         with pytest.raises(AssertionError, match="inter-group|Not equal"):
             v.check_invariants()
         v._finalize_update()
@@ -253,7 +254,7 @@ class TestFloatBias:
         # 2^1={1,2}, 2^2={1,0 from 5.54,7.26}.. verify weights via Eq. 4.
         v = BingoVertex([0.554, 0.726, 0.320], adaptive=False)
         assert v.lam == 10.0  # chosen: decimal mass 1/16 < 1/3 (§4.4)
-        np.testing.assert_array_equal(v.int_bias_view(), [5, 7, 3])
+        np.testing.assert_array_equal(v.int_parts(), [5, 7, 3])
         np.testing.assert_array_equal(v.group(0).members_array(), [0, 1, 2])
         np.testing.assert_array_equal(v.group(1).members_array(), [1, 2])
         np.testing.assert_array_equal(v.group(2).members_array(), [0, 1])
@@ -331,6 +332,19 @@ class TestFloatBias:
         assert v.degree == 1
         with pytest.raises(ValueError):
             BingoVertex([2.0**63])
+
+    def test_failed_insert_keeps_no_bias(self):
+        # The bias is appended before its λ-split is checked; a split
+        # that overflows int64 takes the append back.
+        v = BingoVertex([1.5e-9, 2.5e-9])
+        assert v.lam == 1e9
+        before = weights(v)
+        with pytest.raises(ValueError, match="overflows int64"):
+            v.insert(1e11)  # 1e20 at λ = 1e9
+        assert v.degree == 2 and weights(v) == before
+        v.check_invariants()
+        assert v.insert(3.5e-9) == 2
+        v.check_invariants()
 
 
 class TestIntegerBiasExactness:

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.core import BingoVertex
+from repro.core import DECIMAL_KEY, BingoVertex
 from repro.core.groups import (
     KIND_DENSE,
     KIND_ONE,
     KIND_REGULAR,
     KIND_SPARSE,
-    DecimalGroup,
     DenseGroup,
     OneElementGroup,
     RegularGroup,
@@ -40,10 +39,6 @@ class TestClassify:
     def test_boundaries_are_strict(self):
         assert classify(40, 100) == KIND_REGULAR  # ratio == alpha is not dense
         assert classify(10, 100) == KIND_REGULAR  # ratio == beta is not sparse
-
-    def test_custom_thresholds(self):
-        assert classify(30, 100, alpha=25) == KIND_DENSE
-        assert classify(15, 100, beta=20) == KIND_SPARSE
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -182,27 +177,35 @@ class TestDenseGroup:
 
 
 class TestDecimalGroup:
+    """The decimal group over a float-bias vertex's decimal parts, which
+    it derives from the vertex's biases; every vertex here keeps λ = 1."""
+
     def test_weight_is_frac_sum(self):
-        g = DecimalGroup([0, 1, 2], [0.54, 0.26, 0.20])
-        assert g.weight() == pytest.approx(1.0)
+        v = BingoVertex([100.54, 100.26, 100.20])
+        assert v.lam == 1.0
+        assert v.group(DECIMAL_KEY).weight() == pytest.approx(1.0)
 
     def test_sample_proportional_to_fracs(self):
-        g = DecimalGroup([0, 1, 2], [0.54, 0.26, 0.20])
-        draws = g.sample(rng(5), 60_000, None)
+        v = BingoVertex([100.54, 100.26, 100.20])
+        draws = v.group(DECIMAL_KEY).sample(rng(5), 60_000, v)
         assert_distribution(draws, [0.54, 0.26, 0.20])
 
     def test_insert_delete_replace(self):
-        g = DecimalGroup([0], [0.5])
-        g.insert(3, 0.25)
+        v = BingoVertex([1.5])
+        g = v.group(DECIMAL_KEY)
+        v.insert(3.25)
         assert g.size == 2 and g.weight() == pytest.approx(0.75)
-        g.replace_index(3, 1)
         np.testing.assert_array_equal(g.members_array(), [0, 1])
-        g.delete(0)
+        v.delete(0)  # index 1 is renamed to 0
+        np.testing.assert_array_equal(g.members_array(), [0])
         assert g.size == 1 and g.weight() == pytest.approx(0.25)
+        v.check_invariants()
 
     def test_max_refresh_on_delete(self):
-        g = DecimalGroup([0, 1], [0.9, 0.1])
-        g.delete(0)
+        v = BingoVertex([1.9, 1.1])
+        g = v.group(DECIMAL_KEY)
+        assert g._max == pytest.approx(0.9)
+        v.delete(0)
         assert g._max == pytest.approx(0.1)
 
 

@@ -198,6 +198,24 @@ class TestDistributedUpdates:
         seg = eng.walk(starts=np.zeros(8000, dtype=np.int64), length=1, seed=7)
         assert_distribution(seg[seg.step == 1].vertex.to_numpy() - 1, [5 / 7, 2 / 7])
 
+    def test_partition_stores_share_row_biases(self, spark, small_edges):
+        """After a mixed batch with a re-insert, each unpickled partition
+        store still samples every vertex over its row's bias array."""
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=1,
+                                mode="mixed", seed=33)
+        batch = plan.batches[0]
+        touched = set(zip(batch.src, batch.dst))
+        e = next(r for r in plan.initial.itertuples() if (r.src, r.dst) not in touched)
+        reinsert = pd.DataFrame({"op": [-1, 1], "src": [e.src] * 2,
+                                 "dst": [e.dst] * 2, "bias": [0, e.bias + 3]})
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
+        eng.apply_updates(pd.concat([batch, reinsert], ignore_index=True))
+        for pid in eng._state:
+            st = eng.store_of(pid)
+            st.check_invariants()
+            assert all(v._b is st.adj.rows[u].bias for u, v in st._v.items())
+        assert eng.edges().query("src == @e.src and dst == @e.dst").bias.tolist() == [e.bias + 3]
+
     def test_empty_graph_and_batch(self, spark):
         """An empty edge frame builds and an empty batch is a no-op, as on
         the local stores; deleting every edge leaves typed empty edges."""

@@ -72,7 +72,7 @@ def sub_bias_frame(stores) -> pd.DataFrame:
             for k, kind in v.group_kinds().items():
                 g = v.group(k)
                 if kind == KIND_DENSE:
-                    members = np.nonzero((v.int_bias_view() >> k) & 1)[0]
+                    members = np.nonzero((v.int_parts() >> k) & 1)[0]
                 else:
                     members = g.members_array()
                 assert len(members) == g.size
