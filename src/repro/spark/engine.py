@@ -1,24 +1,37 @@
 """Distributed BINGO engine on Spark (paper §9.1 scale-out design).
 
-The paper scales BINGO to multiple GPUs with 1-D vertex partitioning and
-moves *walkers*, never sampling structures, between devices. This module
-maps device → Spark partition:
+The paper scales BINGO to multiple GPUs with 1-D vertex partitioning:
+each device keeps its partition's sampling structures resident, and only
+*walkers* move between devices. This module maps device → Spark
+partition:
 
 - each partition's vertices live in one ``BingoStore``. The driver
-  holds every partition's store pickled, in a ``pid -> blob`` dict,
-  plus each partition's vertex census; a build or update job returns
-  one ``(pid, blob, verts)`` row per partition it touched;
+  holds every partition's store pickled, in a ``pid -> blob`` dict (the
+  state of record), plus each partition's vertex census. A build or
+  update job returns one ``(pid, blob, verts)`` row per partition it
+  touched; the driver broadcasts each returned blob once, under a fresh
+  version token, and destroys the broadcast it replaces. Untouched
+  partitions keep their broadcast and token, and a walk creates none;
+- each Python worker keeps the stores its tasks used resident, in
+  ``_RESIDENT`` (``pid -> (token, store)``, one entry per pid). A task
+  takes its partition's store from there when the token is the
+  driver's; otherwise it unpickles its own pid's broadcast, the only
+  one it reads, and caches the result. With
+  ``spark.python.worker.reuse=false`` every task starts in a fresh
+  worker, so every read is a miss: the results are the same, only
+  slower;
 - graph updates are routed to their owning partition with
   ``applyInPandas`` and applied incrementally there (the batched §5.2
-  path). The job broadcasts all partitions' blobs, and each task
-  unpickles its own, updates it and returns it re-pickled;
-- walks advance in rounds: each round broadcasts all blobs the same
-  way, and an ``applyInPandas`` task runs the local engine's step loop
-  (``walk.engine.advance``) on the walkers whose current vertex it owns,
-  with ``stay`` set to its own partition, so each walker steps *for as
-  long as the walk stays local*. The task emits one row per move and
-  forwards each walker that crossed into another partition to the next
-  round (walker forwarding).
+  path). An update task pops its resident store, updates it, returns it
+  re-pickled and caches it under the job's new token. A failed job
+  thus leaves no mutated store under a token the driver adopts, and
+  the next task reloads the old broadcast;
+- walks advance in rounds that ship only walkers: an ``applyInPandas``
+  task runs the local engine's step loop (``walk.engine.advance``) on
+  the walkers whose current vertex it owns, with ``stay`` set to its
+  own partition, so each walker steps *for as long as the walk stays
+  local*. The task emits one row per move and forwards each walker that
+  crossed into another partition to the next round (walker forwarding).
 
 Second-order (node2vec) walks need remote adjacency membership checks
 (KnightKing answers them with walker messaging); they are supported by
@@ -28,9 +41,11 @@ the first-order kernels (deepwalk / ppr / simple sampling).
 from __future__ import annotations
 
 import pickle
+from uuid import uuid4
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import SparkSession
 
 from ..core.store import BingoStore
@@ -41,6 +56,32 @@ from ..walk.engine import advance, check_walk
 _STATE_SCHEMA = "pid long, blob binary, verts array<long>"
 _SEGMENT_SCHEMA = "walker long, step long, vertex long, alive boolean"
 
+# This worker's resident partition stores: pid -> (token, store). Tasks
+# reach it only through the module-level helpers below, which cloudpickle
+# ships by reference; a closure naming it would ship a copy.
+_RESIDENT: dict[int, tuple[str, BingoStore]] = {}
+
+
+def _resident(pid: int, shipped: tuple[str, Broadcast], *, take: bool = False) -> BingoStore:
+    """Partition ``pid``'s store at the version ``shipped = (token,
+    broadcast)``: this worker's resident copy if its token matches, else
+    unpickled from the broadcast blob. A read caches a loaded store; a
+    ``take`` (for an update, which mutates it) pops the entry instead,
+    and ``_state_row`` caches the result under the update's new token."""
+    token, bc = shipped
+    entry = _RESIDENT.pop(pid, None) if take else _RESIDENT.get(pid)
+    if entry is not None and entry[0] == token:
+        return entry[1]
+    store = pickle.loads(bc.value)
+    if not take:
+        _RESIDENT[pid] = (token, store)
+    return store
+
+
+def _tokens(pids) -> dict[int, str]:
+    """A fresh version token for each partition a job will return."""
+    return {int(p): uuid4().hex for p in np.unique(pids)}
+
 
 def _rows(wid, step, cur, idx, alive: bool) -> pd.DataFrame:
     """Segment-schema rows for the walkers at positions ``idx``."""
@@ -50,11 +91,14 @@ def _rows(wid, step, cur, idx, alive: bool) -> pd.DataFrame:
     )
 
 
-def _state_row(pid, store: BingoStore) -> pd.DataFrame:
-    """One partition's state row: its pickled store and vertex census."""
-    return pd.DataFrame(
+def _state_row(pid: int, store: BingoStore, token: str) -> pd.DataFrame:
+    """One partition's state row, its pickled store and vertex census;
+    ``store`` stays resident on this worker at version ``token``."""
+    row = pd.DataFrame(
         {"pid": [pid], "blob": [pickle.dumps(store)], "verts": [store.vertices()]}
     )
+    _RESIDENT[pid] = (token, store)
+    return row
 
 
 class SparkBingoEngine:
@@ -71,24 +115,35 @@ class SparkBingoEngine:
         self.n_parts = n_parts
         pdf = edges[["src", "dst", "bias"]].copy()
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), n_parts)
+        tokens = _tokens(pdf["pid"])
 
         def build(key, part):
-            return _state_row(key[0], BingoStore(part[["src", "dst", "bias"]]))
+            pid = int(key[0])
+            return _state_row(pid, BingoStore(part[["src", "dst", "bias"]]), tokens[pid])
 
         self._state: dict[int, bytes] = {}
         self._census: dict[int, np.ndarray] = {}
+        # What the tasks read: each partition's (token, broadcast blob).
+        self._shipped: dict[int, tuple[str, Broadcast]] = {}
         if len(pdf):  # Spark cannot infer an empty frame's schema
             self._collect(
                 self.spark.createDataFrame(pdf)
                 .groupBy("pid")
-                .applyInPandas(build, _STATE_SCHEMA)
+                .applyInPandas(build, _STATE_SCHEMA),
+                tokens,
             )
 
-    def _collect(self, states) -> None:
-        """Take in the (pid, blob, verts) rows of a build or update job."""
+    def _collect(self, states, tokens: dict[int, str]) -> None:
+        """Take in the (pid, blob, verts) rows of a build or update job,
+        and broadcast each blob under the job's token for its pid."""
         for r in states.collect():
-            self._state[int(r["pid"])] = r["blob"]
-            self._census[int(r["pid"])] = np.asarray(r["verts"], dtype=np.int64)
+            pid = int(r["pid"])
+            self._state[pid] = r["blob"]
+            self._census[pid] = np.asarray(r["verts"], dtype=np.int64)
+            old = self._shipped.get(pid)
+            self._shipped[pid] = (tokens[pid], self.spark.sparkContext.broadcast(r["blob"]))
+            if old is not None:
+                old[1].destroy()
 
     # -- driver-side views ----------------------------------------------------
 
@@ -119,31 +174,31 @@ class SparkBingoEngine:
         """Route one update batch to its owning partitions and apply it
         there on the batched §5.2 path.
 
-        Partitions that receive no updates keep their previous state blob
-        (the inter-group space of untouched vertices is not rebuilt).
-        An empty batch starts no job."""
+        Partitions that receive no updates keep their previous state blob,
+        broadcast and token (the inter-group space of untouched vertices
+        is not rebuilt). A batch that raises in any partition leaves
+        every partition's state as it was. An empty batch starts no job."""
         if batch.empty:
             return
         pdf = batch[["op", "src", "dst", "bias"]].copy()
         pdf["ord"] = np.arange(len(pdf), dtype=np.int64)  # preserve stream order
         pdf["pid"] = partition_of(pdf["src"].to_numpy(), self.n_parts)
-        bc = self.spark.sparkContext.broadcast(self._state)
+        tokens = _tokens(pdf["pid"])
+        shipped = self._shipped
 
         def update(key, part):
             pid = int(key[0])
-            blob = bc.value.get(pid)
-            store = pickle.loads(blob) if blob is not None else BingoStore(edge_frame(()))
+            store = (_resident(pid, shipped[pid], take=True) if pid in shipped
+                     else BingoStore(edge_frame(())))
             store.apply_batch(part.sort_values("ord"))
-            return _state_row(pid, store)
+            return _state_row(pid, store, tokens[pid])
 
-        try:
-            self._collect(
-                self.spark.createDataFrame(pdf)
-                .groupBy("pid")
-                .applyInPandas(update, _STATE_SCHEMA)
-            )
-        finally:
-            bc.unpersist()
+        self._collect(
+            self.spark.createDataFrame(pdf)
+            .groupBy("pid")
+            .applyInPandas(update, _STATE_SCHEMA),
+            tokens,
+        )
 
     # -- walks -----------------------------------------------------------------
 
@@ -179,7 +234,7 @@ class SparkBingoEngine:
             }
         )
         segments = [walkers]
-        bc = self.spark.sparkContext.broadcast(self._state)
+        shipped = self._shipped
         n_parts = self.n_parts
 
         def forward(key, part):
@@ -188,14 +243,13 @@ class SparkBingoEngine:
             wid = part["walker"].to_numpy()
             step = part["step"].to_numpy().copy()
             cur = part["vertex"].to_numpy().copy()
-            blob = bc.value.get(pid)
-            if blob is None:  # no out-edges here: every walker is done
+            if pid not in shipped:  # no out-edges here: every walker is done
                 return _rows(wid, step, cur, [], False)
             rng = np.random.default_rng((seed, int(part["round"].iloc[0]), pid))
             alive = np.ones(len(part), dtype=bool)
             moves = [
                 _rows(wid, step, cur, idx, False)
-                for idx in advance(pickle.loads(blob), rng, cur, step, alive,
+                for idx in advance(_resident(pid, shipped[pid]), rng, cur, step, alive,
                                    length=length, stop_prob=stop_prob,
                                    stay=lambda c: partition_of(c, n_parts) == pid)
             ]
@@ -205,24 +259,21 @@ class SparkBingoEngine:
                 [*moves, _rows(wid, step, cur, crossed, True)], ignore_index=True
             )
 
-        try:
-            for rnd in range(length):
-                if walkers.empty:
-                    break
-                pdf = walkers.assign(
-                    pid=partition_of(walkers["vertex"].to_numpy(), n_parts),
-                    round=rnd,
-                )
-                res = (
-                    self.spark.createDataFrame(pdf)
-                    .groupBy("pid")
-                    .applyInPandas(forward, _SEGMENT_SCHEMA)
-                    .toPandas()
-                )
-                segments.append(res.loc[~res["alive"], ["walker", "step", "vertex"]])
-                walkers = res.loc[res["alive"], ["walker", "step", "vertex"]]
-        finally:
-            bc.unpersist()
+        for rnd in range(length):
+            if walkers.empty:
+                break
+            pdf = walkers.assign(
+                pid=partition_of(walkers["vertex"].to_numpy(), n_parts),
+                round=rnd,
+            )
+            res = (
+                self.spark.createDataFrame(pdf)
+                .groupBy("pid")
+                .applyInPandas(forward, _SEGMENT_SCHEMA)
+                .toPandas()
+            )
+            segments.append(res.loc[~res["alive"], ["walker", "step", "vertex"]])
+            walkers = res.loc[res["alive"], ["walker", "step", "vertex"]]
         return pd.concat(segments, ignore_index=True).sort_values(
             ["walker", "step"], ignore_index=True
         )

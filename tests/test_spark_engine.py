@@ -1,6 +1,9 @@
 """Distributed BINGO engine: 1-D partitioned state, walker forwarding,
-distributed updates — cross-checked against the local engine and the
-pandas ground truth."""
+distributed updates, resident partition state — cross-checked against
+the local engine and the pandas ground truth."""
+import os
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,7 +11,8 @@ import pytest
 from repro.core import BingoStore
 from repro.graphs.partition import partition_of
 from repro.graphs.updates import apply_updates, make_update_plan
-from repro.spark.engine import SparkBingoEngine
+from repro.spark import engine as engine_mod
+from repro.spark.engine import SparkBingoEngine, _resident, _state_row
 from repro.synth_data import graph_edges
 from repro.walk import random_walk
 from tests.util import assert_distribution, reinsert_case, rng
@@ -145,15 +149,16 @@ class TestDistributedUpdates:
             {"src": [0, 1, 2, 3], "dst": [1, 2, 3, 0], "bias": [1, 1, 1, 1]}
         )
         eng = SparkBingoEngine(spark, edges, n_parts=4)
-        before = dict(eng._state)
+        before, shipped = dict(eng._state), dict(eng._shipped)
         batch = pd.DataFrame({"op": [1], "src": [0], "dst": [9], "bias": [2]})
         eng.apply_updates(batch)
-        from repro.graphs.partition import partition_of
 
         touched = int(partition_of(np.array([0]), 4)[0])
         for pid, blob in before.items():
             if pid != touched:
                 assert eng._state[pid] is blob
+                assert eng._shipped[pid] is shipped[pid]  # same token and broadcast
+        assert eng._shipped[touched][0] != shipped[touched][0]
 
     def test_vertices_follow_deletes(self, spark):
         edges = pd.DataFrame(
@@ -245,3 +250,150 @@ class TestDistributedUpdates:
             local.edges().astype({"src": np.int64, "dst": np.int64}),
             check_dtype=False,
         )
+
+
+class _Blob:
+    """A stand-in broadcast that counts the reads of its ``value``."""
+
+    def __init__(self, store: BingoStore) -> None:
+        self.blob = pickle.dumps(store)
+        self.reads = 0
+
+    @property
+    def value(self) -> bytes:
+        self.reads += 1
+        return self.blob
+
+
+class TestResidentCache:
+    """The per-worker cache rule, run on the driver's copy of the module."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_RESIDENT", {})
+
+    @pytest.fixture
+    def edges(self):
+        return pd.DataFrame({"src": [0, 0, 4], "dst": [1, 2, 0], "bias": [3, 1, 2]})
+
+    def test_hit_returns_same_object(self, edges):
+        bc = _Blob(BingoStore(edges))
+        first = _resident(0, ("v1", bc))
+        assert _resident(0, ("v1", bc)) is first
+        assert bc.reads == 1
+
+    def test_token_mismatch_reloads(self, edges):
+        old, new = _Blob(BingoStore(edges)), _Blob(BingoStore(edges.head(2)))
+        first = _resident(0, ("v1", old))
+        second = _resident(0, ("v2", new))
+        assert second is not first and new.reads == 1
+        pd.testing.assert_frame_equal(second.edges(), edges.head(2), check_dtype=False)
+        assert engine_mod._RESIDENT[0] == ("v2", second)
+
+    def test_take_is_recached_under_the_new_token(self, edges):
+        bc = _Blob(BingoStore(edges))
+        store = _resident(0, ("v1", bc), take=True)
+        assert 0 not in engine_mod._RESIDENT
+        _state_row(0, store, "v2")
+        assert _resident(0, ("v2", bc)) is store
+        assert _resident(0, ("v1", bc)) is not store  # a stale token reloads
+
+    def test_failed_take_leaves_no_entry(self, edges):
+        bc = _Blob(BingoStore(edges))
+        cached = _resident(0, ("v1", bc))
+
+        def update_task():
+            store = _resident(0, ("v1", bc), take=True)
+            store.apply_batch(pd.DataFrame({"op": [1], "src": [0], "dst": [9], "bias": [50]}))
+            raise RuntimeError("the task fails after mutating its store")
+
+        with pytest.raises(RuntimeError):
+            update_task()
+        assert 0 not in engine_mod._RESIDENT
+        reloaded = _resident(0, ("v1", bc))
+        assert reloaded is not cached and bc.reads == 2
+        pd.testing.assert_frame_equal(reloaded.edges(), edges.sort_values(["src", "dst"]),
+                                      check_dtype=False)
+
+
+class TestResidentState:
+    def test_repeat_walk_is_identical(self, spark, small_edges):
+        """A cold walk (fresh tokens miss on every worker) and a warm one
+        from the same seed return the same frame."""
+        eng = SparkBingoEngine(spark, small_edges, n_parts=4)
+        starts = eng.vertices()[:60]
+        cold = eng.walk(starts=starts, length=10, seed=11, stop_prob=0.1)
+        warm = eng.walk(starts=starts, length=10, seed=11, stop_prob=0.1)
+        pd.testing.assert_frame_equal(cold, warm)
+
+    def test_walk_creates_no_broadcast(self, spark, engine, monkeypatch):
+        def refuse(value):
+            raise AssertionError("a walk must ship walkers only")
+
+        monkeypatch.setattr(spark.sparkContext, "broadcast", refuse)
+        seg = engine.walk(starts=engine.vertices()[:20], length=5, seed=12)
+        assert set(seg.walker) == set(range(20)) and (seg.step > 0).any()
+
+    def test_engines_sharing_pids_keep_their_own_edges(self, spark):
+        """Two engines over the same vertices (so the same pids) but
+        disjoint edges, walked alternately, never read each other's
+        resident stores."""
+        src = np.arange(12)
+        graphs = [pd.DataFrame({"src": src, "dst": (src + k) % 12, "bias": 1}) for k in (1, 5)]
+        engines = [SparkBingoEngine(spark, g, n_parts=4) for g in graphs]
+        for rep in range(2):
+            for g, eng in zip(graphs, engines):
+                seg = eng.walk(starts=src, length=6, seed=rep)
+                has = set(zip(g.src, g.dst))
+                for _, grp in seg.groupby("walker"):
+                    vs = grp.vertex.tolist()
+                    assert len(vs) == 7
+                    assert all(e in has for e in zip(vs[:-1], vs[1:]))
+
+    def test_replaced_broadcasts_are_destroyed(self, spark, small_edges):
+        """Each partition has one live broadcast: updates destroy the
+        ones they replace, and walks create none."""
+        tmp = spark.sparkContext._temp_dir
+        before = len(os.listdir(tmp))
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=3,
+                                mode="mixed", seed=34)
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
+        for b in plan.batches:
+            eng.apply_updates(b)
+            eng.walk(starts=eng.vertices()[:20], length=4, seed=13)
+        assert len(os.listdir(tmp)) - before <= eng.n_parts
+
+    @pytest.fixture
+    def task_per_partition(self, spark):
+        """Run each pid's group in its own task: adaptive execution would
+        otherwise coalesce these tiny shuffles into one task, whose worker
+        exits with the failure and takes its cache along."""
+        keys = {"spark.sql.adaptive.coalescePartitions.enabled": "false",
+                "spark.sql.shuffle.partitions": "8"}
+        before = {k: spark.conf.get(k) for k in keys}
+        for k, v in keys.items():
+            spark.conf.set(k, v)
+        yield
+        for k, v in before.items():
+            spark.conf.set(k, v)
+
+    @pytest.mark.usefixtures("task_per_partition")
+    def test_failed_batch_leaves_no_trace(self, spark):
+        """A batch whose valid heavy insert lands in one partition and
+        whose bad bias fails another changes nothing: no worker keeps the
+        partly updated store under a token the driver adopts."""
+        src = np.arange(8)
+        edges = pd.DataFrame({"src": src, "dst": (src + 1) % 8, "bias": 1})
+        eng = SparkBingoEngine(spark, edges, n_parts=4)
+        pid = partition_of(src, 4)
+        starts = np.zeros(500, dtype=np.int64)
+        for other in (int(src[pid == p][0]) for p in set(pid) - {pid[0]}):
+            eng.walk(starts=starts, length=1, seed=other)  # 0's store is resident
+            batch = pd.DataFrame({"op": [1, 1], "src": [0, other], "dst": [999, 99],
+                                  "bias": [1e6, -1.0]})
+            with pytest.raises(Exception, match="finite and positive"):
+                eng.apply_updates(batch)
+            pd.testing.assert_frame_equal(eng.edges(), edges, check_dtype=False)
+            for seed in range(6):
+                seg = eng.walk(starts=starts, length=1, seed=seed)
+                assert 999 not in set(seg.vertex)
