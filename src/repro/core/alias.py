@@ -27,11 +27,13 @@ class AliasTable:
         self.total = float(w.sum())
         if self.total <= 0:
             raise ValueError("total weight must be positive")
-        scaled = w * (self.n / self.total)
-        prob = np.ones(self.n, dtype=np.float64)
-        alias = np.arange(self.n, dtype=np.int64)
-        small = [i for i in range(self.n) if scaled[i] < 1.0]
-        large = [i for i in range(self.n) if scaled[i] >= 1.0]
+        # Vose's loop runs on Python lists, whose scalar reads and writes
+        # cost less than numpy's; the tables become arrays once.
+        scaled = (w * (self.n / self.total)).tolist()
+        prob = [1.0] * self.n
+        alias = list(range(self.n))
+        small = [i for i, v in enumerate(scaled) if v < 1.0]
+        large = [i for i, v in enumerate(scaled) if v >= 1.0]
         while small and large:
             s = small.pop()
             l = large.pop()
@@ -40,8 +42,8 @@ class AliasTable:
             scaled[l] = scaled[l] + scaled[s] - 1.0
             (small if scaled[l] < 1.0 else large).append(l)
         # Leftovers are 1.0 within float error; prob already initialized.
-        self.prob = prob
-        self.alias = alias
+        self.prob = np.array(prob, dtype=np.float64)
+        self.alias = np.array(alias, dtype=np.int64)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Vectorized O(1)-per-draw sampling: pick bucket, then coin flip."""
@@ -50,12 +52,12 @@ class AliasTable:
         accept = (u - j) < self.prob[j]
         return np.where(accept, j, self.alias[j])
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """Scalar fast path for single-walker draws (the common case when
-        walkers are spread thinly over vertices). Uses the one-uniform
-        alias trick: the integer part picks the bucket, the fractional
-        part re-used as the accept coin."""
-        u = rng.random() * self.n
+    def pick(self, x: float, y=None, rng=None) -> int:
+        """O(1) scalar draw from one uniform ``x`` by the one-uniform alias
+        trick: the integer part of x·n picks the bucket and its fractional
+        part is the accept coin. ``y`` and ``rng`` are unused; they match
+        ``BingoVertex.pick``, so one kernel drives both."""
+        u = x * self.n
         j = int(u)
         return j if (u - j) < self.prob[j] else int(self.alias[j])
 

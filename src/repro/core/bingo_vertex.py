@@ -47,6 +47,8 @@ from .dynarray import DynArray
 from .groups import (
     KIND_DENSE,
     KIND_ONE,
+    KIND_REGULAR,
+    KIND_SPARSE,
     classify,
     make_group,
     DecimalGroup,
@@ -97,10 +99,15 @@ class BingoVertex(VertexSampler):
         keys = sorted(self._groups)
         if keys and keys[0] == DECIMAL_KEY:
             keys.append(keys.pop(0))
-        self._inter_keys = keys
-        self._inter = AliasTable([self._groups[k].weight() for k in keys]) if keys else None
+        self._inter_groups = [self._groups[k] for k in keys]
+        self._inter = AliasTable([g.weight() for g in self._inter_groups]) if keys else None
 
     # -- views / accessors ---------------------------------------------------
+
+    @property
+    def _inter_keys(self) -> list:
+        """The group keys in inter-group table order."""
+        return [g.k for g in self._inter_groups]
 
     @property
     def degree(self) -> int:
@@ -142,12 +149,27 @@ class BingoVertex(VertexSampler):
 
     # -- sampling (Eq. 5-7) --------------------------------------------------
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """Scalar hierarchical draw: inter-group alias pick, then one
-        intra-group draw — the O(1) per-step cost a single walker pays."""
-        if self._inter is None:
+    def pick(self, x: float, y: float, rng: np.random.Generator) -> int:
+        """Scalar hierarchical draw from two uniforms — the O(1) per-step
+        cost a walker pays: ``x`` picks the group by the one-uniform alias
+        trick on the inter-group table, and ``y`` a member of a regular or
+        sparse group. A dense or decimal group rejects with its own
+        ``sample_one`` on ``rng``."""
+        inter = self._inter
+        if inter is None:
             raise ValueError("sampling from an empty vertex")
-        return self._groups[self._inter_keys[self._inter.sample_one(rng)]].sample_one(rng, self)
+        grp = self._inter_groups[inter.pick(x)]
+        kind = grp.kind
+        if kind == KIND_REGULAR or kind == KIND_SPARSE:
+            m = grp.members
+            return int(m._buf[int(y * m._n)])
+        if kind == KIND_ONE:
+            return grp.idx
+        return grp.sample_one(rng, self)
+
+    def sample_one(self, rng: np.random.Generator) -> int:
+        """One scalar hierarchical draw: ``pick`` on two fresh uniforms."""
+        return self.pick(rng.random(), rng.random(), rng)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Hierarchical sampling; returns adjacency indices in [0, d).
@@ -164,7 +186,7 @@ class BingoVertex(VertexSampler):
             return np.array([self.sample_one(rng)], dtype=np.int64)
         sel = self._inter.sample(rng, size)
         order = np.argsort(sel, kind="stable")
-        n_keys = len(self._inter_keys)
+        n_keys = len(self._inter_groups)
         bounds = np.searchsorted(sel[order], np.arange(n_keys + 1))
         u = rng.random(size)
         out = np.empty(size, dtype=np.int64)
@@ -173,12 +195,12 @@ class BingoVertex(VertexSampler):
             if lo == hi:
                 continue
             sl = order[lo:hi]
-            grp = self._groups[self._inter_keys[gi]]
+            grp = self._inter_groups[gi]
             kind = grp.kind
-            if kind == "regular" or kind == "sparse":
+            if kind == KIND_REGULAR or kind == KIND_SPARSE:
                 m = grp.members
                 out[sl] = m._buf[(u[sl] * m._n).astype(np.int64)]
-            elif kind == "one_element":
+            elif kind == KIND_ONE:
                 out[sl] = grp.idx
             else:  # dense / decimal: rejection needs its own loop
                 out[sl] = grp.sample(rng, hi - lo, self)
@@ -299,7 +321,7 @@ class BingoVertex(VertexSampler):
         table; the bias array is the adjacency's."""
         n = sum(g.nbytes for g in self._groups.values())
         if self._inter is not None:
-            n += self._inter.nbytes + 8 * len(self._inter_keys)
+            n += self._inter.nbytes + 8 * len(self._inter_groups)
         return n
 
     # -- invariants (tests) --------------------------------------------------
@@ -338,8 +360,8 @@ class BingoVertex(VertexSampler):
             assert abs(dec.weight() - decs.sum()) < 1e-9 * max(1, d)
             keys.append(DECIMAL_KEY)
         # The inter-group table draws each group with Eq. 5's W(p_k)/ΣW.
-        assert self._inter_keys == keys and len(self._groups) == len(keys), (
-            "inter-group keys stale")
+        assert self._inter_groups == [self._groups[k] for k in keys] and len(
+            self._groups) == len(keys), "inter-group table stale"
         # ``total_weight``, read from that table, is the groups' sum.
         if keys:
             w = np.array([self._groups[k].weight() for k in keys])

@@ -27,10 +27,10 @@ it. Every group has O(1) ``replace_index`` so the owning vertex can
 follow the index its adjacency row's swap-deletion moved. No group
 copies a bias; the parts it tests are derived from the vertex's biases.
 ``BingoVertex.sample`` inlines the vectorized draw of regular, sparse
-and one-element groups. Dense and decimal groups draw by rejection:
-``sample`` through the one vectorized loop (``rejection.rejection_loop``),
-and ``sample_one`` through its own scalar loop, which keeps a single
-walker's draw at a low-degree vertex cheap.
+and one-element groups, and ``BingoVertex.pick`` their scalar draw.
+Dense and decimal groups draw by rejection: ``sample`` through the one
+vectorized loop (``rejection.rejection_loop``), and ``sample_one``
+through its own scalar loop, which ``pick`` calls for each walker.
 """
 from __future__ import annotations
 

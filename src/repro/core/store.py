@@ -3,10 +3,16 @@ per vertex (paper §6 "treats each vertex as an individual object", on
 the Hornet-style substrate of §9.1).
 
 The store is the engine-facing surface shared by BINGO and the SOTA
-simulators: vectorized next-hop sampling for a batch of walkers through
-``dispatch``, the one walker-dispatch kernel of every store, batched
-update ingestion (§5.2), adjacency queries and return-edge shares for
+simulators: next-hop sampling for a batch of walkers, batched update
+ingestion (§5.2), adjacency queries and return-edge shares for
 second-order (node2vec) rejection, and memory accounting.
+
+Two walker kernels serve the stores. ``draw_each`` steps every walker
+on its own from two pre-drawn uniforms, for the samplers whose draw is
+O(1): BINGO's hierarchical draw and KnightKing's alias table (the CPU
+step of KnightKing and ThunderRW). ``dispatch`` groups the walkers by
+vertex and draws each group in one call, for gSampler and FlowWalker,
+whose O(d) draws it shares across a vertex's walkers.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ def dispatch(cur, rows, draw) -> np.ndarray:
     """Next hop of each walker at ``cur``, -1 at a vertex with no or an
     empty row in ``rows``. The walkers at vertex ``u`` share one call of
     ``draw(u, m)``, which returns ``m`` indices into ``u``'s row (an int
-    when ``m == 1``): the CPU analog of BINGO's per-vertex kernels."""
+    when ``m == 1``), so they share the cost of an O(d) draw."""
     cur = np.asarray(cur, dtype=np.int64)
     out = np.full(len(cur), -1, dtype=np.int64)
     for u, idx in iter_vertex_groups(cur):
@@ -48,6 +54,26 @@ def dispatch(cur, rows, draw) -> np.ndarray:
             out[idx[0]] = row.dst._buf[draw(u, 1)]
         else:
             out[idx] = row.dst.view()[draw(u, len(idx))]
+    return out
+
+
+def draw_each(rng, cur, rows, samplers) -> np.ndarray:
+    """Next hop of each walker at ``cur``, -1 at a vertex with no sampler
+    in ``samplers`` or an empty row in ``rows``. Walker ``i`` at vertex
+    ``u`` takes index ``samplers[u].pick(x[i], y[i], rng)`` into ``u``'s
+    row, where ``x`` and ``y`` are drawn once per call: O(1) a walker,
+    with no grouping and no per-walker Python list."""
+    cur = np.ascontiguousarray(cur, dtype=np.int64)
+    n = len(cur)
+    x, y = rng.random(n), rng.random(n)
+    out = np.full(n, -1, dtype=np.int64)
+    put = memoryview(out)
+    for i, (u, a, b) in enumerate(zip(memoryview(cur), memoryview(x), memoryview(y))):
+        s = samplers.get(u)
+        if s is not None:
+            dst = rows[u].dst
+            if dst._n:
+                put[i] = dst._buf[s.pick(a, b, rng)]
     return out
 
 
@@ -107,14 +133,9 @@ class BingoStore:
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
         """Next hop for each walker at ``cur`` (-1 marks a dead end): one
-        vectorized hierarchical draw per occupied vertex, scalar for a
-        vertex with one walker."""
-        v = self._v
-
-        def draw(u, m):
-            return v[u].sample_one(rng) if m == 1 else v[u].sample(rng, m)
-
-        return dispatch(cur, self.adj.rows, draw)
+        O(1) hierarchical draw per walker (``BingoVertex.pick``) through
+        ``draw_each``."""
+        return draw_each(rng, cur, self.adj.rows, self._v)
 
     # -- updates -------------------------------------------------------------
 

@@ -12,8 +12,12 @@ All comparators expose the same engine surface as ``BingoStore``
 (apply_batch / sample_next / has_edge / edge_share / vertices / edges /
 memory_bytes),
 so the one walk engine and the one Table 3 loop drive every framework.
-They share BINGO's walker-dispatch kernel too (``core.store.dispatch``);
-each differs only in its ``rebuild`` and ``draw``.
+Each differs in its ``rebuild`` and its draw. KnightKing's alias draw is
+O(1), so it steps each walker on its own through BINGO's per-walker
+kernel (``core.store.draw_each``). gSampler's and FlowWalker's draws
+cost O(d) a vertex; they implement ``draw``, and the default
+``sample_next`` groups the walkers by vertex (``core.store.dispatch``)
+so one draw serves all of a vertex's walkers.
 """
 from __future__ import annotations
 
@@ -71,15 +75,16 @@ class StaticRebuildStore(abc.ABC):
         return float(self.adj.rows[u].bias.view().sum())
 
     def sample_next(self, rng: np.random.Generator, cur: np.ndarray) -> np.ndarray:
-        """Next hop per walker (-1 for dead ends), through the same
-        dispatch kernel as ``BingoStore``: only ``draw`` differs."""
+        """Next hop per walker (-1 for dead ends): one ``draw`` per
+        occupied vertex, through the vertex-grouping ``dispatch`` kernel."""
         rows = self.adj.rows
         return dispatch(cur, rows, lambda u, m: self.draw(u, rows[u].bias.view(), rng, m))
 
-    @abc.abstractmethod
     def draw(self, u: int, biases: np.ndarray, rng: np.random.Generator, m: int):
         """Indices into ``u``'s neighbor list of ``m`` draws ∝ ``biases``;
-        an int when ``m == 1``."""
+        an int when ``m == 1``. A store that overrides ``sample_next``
+        needs none."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def structure_nbytes(self) -> int:

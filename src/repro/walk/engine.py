@@ -4,11 +4,10 @@ involves sampling to select the next node").
 
 ``advance`` is the one step loop under every walk, local or on Spark.
 Each walker has its own step counter, so walkers need not move in
-lockstep; at each inner step the walkers that share a current vertex
-are drawn in one vectorized store call (the CPU analog of BINGO's
-per-vertex GPU kernels). Second-order (node2vec) walks use KnightKing's
-two-step approach, which the paper adopts (§7.3): sample from the
-static per-vertex space, then accept/reject against the history factor
+lockstep; at each inner step one store call draws every moving
+walker's next hop (``sample_next``). Second-order (node2vec) walks use
+KnightKing's two-step approach, which the paper adopts (§7.3): sample
+from the static per-vertex space, then accept/reject against the history factor
 f(prev, x) of Eq. 1 under the envelope h = max(1, 1/q). Two KnightKing
 devices keep that cheap. When 1/p > h, the return edge's mass beyond
 h·w is folded out of the envelope into an "outlier" region that moves

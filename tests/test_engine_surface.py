@@ -126,9 +126,10 @@ def test_reinsert_takes_new_bias(case):
 
 
 def test_single_walker_draws_follow_eq2(case):
-    """One walker per ``sample_next`` call takes the dispatch kernel's
-    scalar branch, ``draw(u, 1)``; its hops over 0 -> 1, 2, 3 with
-    biases 1, 2 and 5 (or the same over 7) follow Eq. 2."""
+    """One walker per ``sample_next`` call, drawn by ``draw_each``
+    (BINGO, KnightKing) or by the dispatch kernel's scalar branch,
+    ``draw(u, 1)`` (gSampler, FlowWalker); its hops over 0 -> 1, 2, 3
+    with biases 1, 2 and 5 (or the same over 7) follow Eq. 2."""
     name, bias = case
     b = np.array([1, 2, 5]) if bias == "int" else np.array([1, 2, 5]) / 7
     st = STORES[name](pd.DataFrame({"src": 0, "dst": [1, 2, 3], "bias": b}))

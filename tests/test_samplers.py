@@ -142,6 +142,48 @@ class TestAliasTable:
         draws = t.sample(rng(10), 20_000)
         assert (draws != 0).all()
 
+    def test_tables_match_numpy_vose(self):
+        # The table Vose's algorithm builds on Python floats is the one it
+        # builds on numpy arrays, byte for byte: same pops, same float64
+        # arithmetic. Weights mix zeros, whole numbers and decimals.
+        def numpy_vose(w):
+            n = len(w)
+            scaled = w * (n / float(w.sum()))
+            prob = np.ones(n, dtype=np.float64)
+            alias = np.arange(n, dtype=np.int64)
+            small = [i for i in range(n) if scaled[i] < 1.0]
+            large = [i for i in range(n) if scaled[i] >= 1.0]
+            while small and large:
+                s, l = small.pop(), large.pop()
+                prob[s] = scaled[s]
+                alias[s] = l
+                scaled[l] = scaled[l] + scaled[s] - 1.0
+                (small if scaled[l] < 1.0 else large).append(l)
+            return prob, alias
+
+        r = rng(12)
+        for trial in range(1200):
+            n = int(r.integers(1, 301))
+            w = r.integers(0, 1000, n).astype(np.float64)
+            if trial % 2:
+                w = w * r.random(n)
+            w[r.random(n) < 0.2] = 0.0
+            if not w.any():
+                w[0] = 1.0
+            t = AliasTable(w)
+            prob, alias = numpy_vose(w)
+            assert t.prob.dtype == np.float64 and t.alias.dtype == np.int64
+            assert t.prob.tobytes() == prob.tobytes(), f"prob differs at n={n}"
+            assert t.alias.tobytes() == alias.tobytes(), f"alias differs at n={n}"
+
+    def test_pick_ignores_second_uniform(self):
+        # ``pick`` uses only x: bucket int(x·n), accept coin frac(x·n).
+        t = AliasTable([5.0, 4.0, 3.0])
+        for x in np.linspace(0, 1, 61, endpoint=False):
+            j = int(x * 3)
+            want = j if x * 3 - j < t.prob[j] else int(t.alias[j])
+            assert t.pick(x, 0.0, None) == t.pick(x, 0.99, rng(0)) == want
+
 
 class TestMethodSpecific:
     def test_its_sampling_is_logarithmic_structure(self):
