@@ -12,8 +12,9 @@ knows no destination ids: like every ``VertexSampler`` it works on
 adjacency indices in [0, d), and the owning store maps drawn indices to
 destinations through its adjacency row. It implements:
 
-- hierarchical O(1) sampling (inter-group alias → intra-group unbiased,
-  Eq. 5-7);
+- one hierarchical O(1) draw, ``pick`` (inter-group alias →
+  intra-group unbiased, Eq. 5-7): a walker's step
+  (``core.store.draw_each``) and ``sample`` both make it;
 - O(K) streaming insert (§4.2): append to each touched group, rebuild
   the K-entry inter-group alias table;
 - O(K) streaming delete (§4.2): delete-and-swap in each touched group,
@@ -105,11 +106,6 @@ class BingoVertex(VertexSampler):
     # -- views / accessors ---------------------------------------------------
 
     @property
-    def _inter_keys(self) -> list:
-        """The group keys in inter-group table order."""
-        return [g.k for g in self._inter_groups]
-
-    @property
     def degree(self) -> int:
         return self._b._n
 
@@ -167,44 +163,15 @@ class BingoVertex(VertexSampler):
             return grp.idx
         return grp.sample_one(rng, self)
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """One scalar hierarchical draw: ``pick`` on two fresh uniforms."""
-        return self.pick(rng.random(), rng.random(), rng)
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        """Hierarchical sampling; returns adjacency indices in [0, d).
-
-        Stage (i) draws all walkers' groups from the inter-group alias
-        table in one vectorized call; stage (ii) resolves each selected
-        group's walkers together, with the unbiased (uniform member
-        pick) case inlined — the per-group loop is over at most K+1
-        groups, mirroring the warp-per-group GPU kernel.
-        """
+        """``size`` draws of ``pick``, adjacency indices in [0, d), from
+        ``x = rng.random(size)`` and ``y = rng.random(size)``: the uniforms
+        ``core.store.draw_each`` hands as many walkers."""
         if self._inter is None:
             raise ValueError("sampling from an empty vertex")
-        if size == 1:
-            return np.array([self.sample_one(rng)], dtype=np.int64)
-        sel = self._inter.sample(rng, size)
-        order = np.argsort(sel, kind="stable")
-        n_keys = len(self._inter_groups)
-        bounds = np.searchsorted(sel[order], np.arange(n_keys + 1))
-        u = rng.random(size)
-        out = np.empty(size, dtype=np.int64)
-        for gi in range(n_keys):
-            lo, hi = bounds[gi], bounds[gi + 1]
-            if lo == hi:
-                continue
-            sl = order[lo:hi]
-            grp = self._inter_groups[gi]
-            kind = grp.kind
-            if kind == KIND_REGULAR or kind == KIND_SPARSE:
-                m = grp.members
-                out[sl] = m._buf[(u[sl] * m._n).astype(np.int64)]
-            elif kind == KIND_ONE:
-                out[sl] = grp.idx
-            else:  # dense / decimal: rejection needs its own loop
-                out[sl] = grp.sample(rng, hi - lo, self)
-        return out
+        x, y = rng.random(size), rng.random(size)
+        return np.array([self.pick(a, b, rng) for a, b in zip(x.tolist(), y.tolist())],
+                        dtype=np.int64)
 
     # -- streaming updates (§4.2) -------------------------------------------
 

@@ -26,11 +26,12 @@ groups. A one-element group cannot grow, so the owning vertex re-creates
 it. Every group has O(1) ``replace_index`` so the owning vertex can
 follow the index its adjacency row's swap-deletion moved. No group
 copies a bias; the parts it tests are derived from the vertex's biases.
-``BingoVertex.sample`` inlines the vectorized draw of regular, sparse
-and one-element groups, and ``BingoVertex.pick`` their scalar draw.
-Dense and decimal groups draw by rejection: ``sample`` through the one
-vectorized loop (``rejection.rejection_loop``), and ``sample_one``
-through its own scalar loop, which ``pick`` calls for each walker.
+``BingoVertex.pick``, BINGO's one draw, inlines the draw of regular,
+sparse and one-element groups. Dense and decimal groups draw by
+rejection in ``sample_one``, which ``pick`` calls for each walker.
+``DenseGroup.sample``, the dense draw vectorized over
+``rejection.rejection_loop``, is called by no store; ``perfbench``'s
+tracer patches it.
 """
 from __future__ import annotations
 
@@ -79,9 +80,6 @@ class _ListedGroup:
 
     def weight(self) -> float:
         return float(self.size << self.k)
-
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        return int(self.members._buf[int(rng.random() * self.members._n)])
 
     def members_array(self) -> np.ndarray:
         return np.sort(self.members.view().copy())
@@ -198,9 +196,6 @@ class OneElementGroup:
             raise KeyError(f"index {old} not in one-element group 2^{self.k}")
         self.idx = new
 
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
-        return self.idx
-
     def members_array(self) -> np.ndarray:
         return np.array([self.idx], dtype=np.int64)
 
@@ -297,12 +292,6 @@ class DecimalGroup(SparseGroup):
         # biases the draw; refresh when the max itself left.
         if gone >= self._max:
             self._max = float(vertex.frac_parts(self.members.view()).max(initial=0.0))
-
-    def sample(self, rng: np.random.Generator, size: int, vertex) -> np.ndarray:
-        m = self.members.view()
-        return m[rejection_loop(
-            rng, size, len(m),
-            lambda c: rng.random(len(c)) * self._max < vertex.frac_parts(m[c]))]
 
     def sample_one(self, rng: np.random.Generator, vertex) -> int:
         m = self.members

@@ -4,9 +4,9 @@ Pick a candidate uniformly, accept with probability w_i / max(w);
 expected cost O(d * max(w) / Σw) per draw. Insertion is an O(1) append
 (the max is updated monotonically); deletion follows Table 1's O(d)
 cost because without an inverted index the max may need a rescan.
-``rejection_loop`` is the one vectorized rejection loop: BINGO's dense
-(bit test) and decimal groups draw through it too. ``MAX_ROUNDS`` caps
-every rejection draw, vectorized or scalar.
+``rejection_loop`` is the one vectorized rejection loop; BINGO's
+``DenseGroup.sample`` (bit test) uses it too. ``MAX_ROUNDS`` caps every
+rejection draw, vectorized or scalar.
 """
 from __future__ import annotations
 

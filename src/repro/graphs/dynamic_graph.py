@@ -130,16 +130,9 @@ class Adjacency:
             if len(r.dst):
                 yield u, r.dst.view(), r.bias.view()
 
-    def out_degree(self, u: int) -> int:
-        r = self.rows.get(int(u))
-        return 0 if r is None else len(r.dst)
-
     def has_edge(self, u: int, dst: int) -> bool:
         r = self.rows.get(int(u))
         return r is not None and int(dst) in r.pos
-
-    def num_edges(self) -> int:
-        return sum(len(r.dst) for r in self.rows.values())
 
     def edges(self) -> pd.DataFrame:
         return edge_frame(self.items())

@@ -63,9 +63,6 @@ class WalkResult:
     visits: np.ndarray
     steps: int
 
-    def mean_length(self) -> float:
-        return float((self.paths >= 0).sum(axis=1).mean() - 1.0)
-
 
 def check_walk(length: int, stop_prob: float | None) -> None:
     """Raise ``ValueError`` unless ``length >= 0`` and ``stop_prob`` is

@@ -40,7 +40,7 @@ def eq7_probs(v):
     groups: P(p_k) = W(p_k)/ΣW (Eq. 5, which ``check_invariants`` holds
     the inter-group table to), then a uniform pick among the members."""
     p = np.zeros(v.degree)
-    for key in v._inter_keys:
+    for key in [g.k for g in v._inter_groups]:
         g = v.group(key)
         members = (
             bits.group_members(v.int_parts(), key)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DECIMAL_KEY, BingoStore, BingoVertex
-from repro.core.groups import KIND_DENSE, KIND_ONE, KIND_REGULAR, KIND_SPARSE
+from repro.core.groups import KIND_DECIMAL, KIND_DENSE, KIND_ONE, KIND_REGULAR, KIND_SPARSE
 from repro.graphs.dynamic_graph import Adjacency
 from tests.util import assert_distribution, rng, weights
 
@@ -103,6 +103,25 @@ class TestTheorem41:
         dsts = st.sample_next(rng(2), np.zeros(1000, dtype=np.int64))
         assert set(np.unique(dsts)) <= {7, 9}
         assert_distribution((dsts == 9).astype(int), [0.25, 0.75])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walker_step_is_vertex_draw(self, seed):
+        # d = 30: 2^0 holds 20 (dense), 2^1 one, 2^2 two (sparse), 2^3 six
+        # (regular); indices 0 and 29 have a decimal part. A walker's
+        # step and Table 1's draw take the same uniforms to the same index.
+        b = np.ones(30)
+        b[20:] = 0
+        b[20] += 2
+        b[21:23] += 4
+        b[23:29] += 8
+        b[[0, 29]] += 0.5
+        st = BingoStore(pd.DataFrame({"src": 0, "dst": np.arange(100, 130), "bias": b}))
+        v = st._v[0]
+        assert set(v.group_kinds().values()) == {
+            KIND_DENSE, KIND_ONE, KIND_SPARSE, KIND_REGULAR, KIND_DECIMAL}
+        np.testing.assert_array_equal(
+            st.sample_next(rng(seed), np.zeros(5000, dtype=np.int64)),
+            st.adj.row(0).dst.view()[v.sample(rng(seed), 5000)])
 
 
 class TestStreamingInsert:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DECIMAL_KEY, BingoVertex
 from repro.core.groups import (
+    KIND_DECIMAL,
     KIND_DENSE,
     KIND_ONE,
     KIND_REGULAR,
@@ -86,13 +87,13 @@ class TestIndexedGroups:
             g.replace_index(9, 1)
 
     def test_sample_uniform_over_members(self, cls, kind):
-        g = cls(3, [2, 4, 9], degree_hint=16)
-        gen = rng(1)
-        draws = [g.sample_one(gen, None) for _ in range(30_000)]
-        # Map member index -> position for the distribution check.
-        remap = {2: 0, 4: 1, 9: 2}
-        mapped = np.array([remap[int(x)] for x in draws])
-        assert_distribution(mapped, [1 / 3] * 3)
+        # Group 2^3 = {2, 4, 9}: 3 of 16 is regular, 3 of 40 sparse. Eq. 2
+        # holds only if the vertex draws its members uniformly.
+        b = np.ones(16 if kind == KIND_REGULAR else 40)
+        b[[2, 4, 9]] += 8
+        v = BingoVertex(b)
+        assert v.group(3).kind == kind
+        assert_distribution(v.sample(rng(1), 30_000), b / b.sum())
 
     def test_random_op_sequence_consistency(self, cls, kind):
         g = cls(0, [0, 1, 2], degree_hint=64)
@@ -119,10 +120,11 @@ class TestOneElementGroup:
             OneElementGroup(0, [1, 2])
 
     def test_sample_constant(self):
-        g = OneElementGroup(4, [7])
-        gen = rng(3)
-        assert all(g.sample_one(gen, None) == 7 for _ in range(50))
-        assert g.weight() == 16
+        b = np.ones(8)
+        b[7] += 16  # group 2^4 = {7}
+        v = BingoVertex(b)
+        assert v.group(4).kind == KIND_ONE and v.group(4).weight() == 16
+        assert_distribution(v.sample(rng(3), 30_000), b / b.sum())
 
     def test_insert_forces_conversion(self):
         # A one-element group cannot grow: the vertex re-creates it.
@@ -159,11 +161,12 @@ class TestDenseGroup:
         v = self._vertex()
         g = v.group(0)
         assert g.kind == KIND_DENSE
-        draws = g.sample(rng(4), 40_000, v)
         # Members with bit 0: indices 0..4 (biases 1,3,5,7,9), uniform.
         expected = np.zeros(8)
         expected[:5] = 1 / 5
-        assert_distribution(draws, expected)
+        assert_distribution(g.sample(rng(4), 40_000, v), expected)
+        gen = rng(4)
+        assert_distribution([g.sample_one(gen, v) for _ in range(40_000)], expected)
 
     def test_replace_index_is_noop(self):
         g = DenseGroup(0, [0, 1])
@@ -186,9 +189,13 @@ class TestDecimalGroup:
         assert v.group(DECIMAL_KEY).weight() == pytest.approx(1.0)
 
     def test_sample_proportional_to_fracs(self):
-        v = BingoVertex([100.54, 100.26, 100.20])
-        draws = v.group(DECIMAL_KEY).sample(rng(5), 60_000, v)
-        assert_distribution(draws, [0.54, 0.26, 0.20])
+        # A non-empty vertex keeps λ = 1, so the inserts below 1 are
+        # decimal parts only, and half the mass is the decimal group's.
+        v = BingoVertex([1])
+        for b in (0.54, 0.26, 0.20):
+            v.insert(b)
+        assert v.lam == 1.0 and v.group(DECIMAL_KEY).kind == KIND_DECIMAL
+        assert_distribution(v.sample(rng(5), 60_000), [0.5, 0.27, 0.13, 0.10])
 
     def test_insert_delete_replace(self):
         v = BingoVertex([1.5])

@@ -45,7 +45,8 @@ def group_frame(stores) -> pd.DataFrame:
     rows = []
     for st in stores:
         for u, v in st._v.items():
-            p = dict(zip(v._inter_keys, v._inter.probs())) if v.degree else {}
+            keys = [g.k for g in v._inter_groups]
+            p = dict(zip(keys, v._inter.probs())) if v.degree else {}
             for k, kind in v.group_kinds().items():
                 g = v.group(k)
                 rows.append((u, k, g.size, g.weight(), kind, v.degree, p[k]))
