@@ -148,9 +148,9 @@ class BingoVertex(VertexSampler):
     def pick(self, x: float, y: float, rng: np.random.Generator) -> int:
         """Scalar hierarchical draw from two uniforms — the O(1) per-step
         cost a walker pays: ``x`` picks the group by the one-uniform alias
-        trick on the inter-group table, and ``y`` a member of a regular or
-        sparse group. A dense or decimal group rejects with its own
-        ``sample_one`` on ``rng``."""
+        trick on the inter-group table, and ``y`` a member of the group. A
+        dense or decimal group takes its first rejection trial from ``y``
+        and any later one from ``rng`` (its ``sample_one``)."""
         inter = self._inter
         if inter is None:
             raise ValueError("sampling from an empty vertex")
@@ -161,7 +161,7 @@ class BingoVertex(VertexSampler):
             return int(m._buf[int(y * m._n)])
         if kind == KIND_ONE:
             return grp.idx
-        return grp.sample_one(rng, self)
+        return grp.sample_one(y, rng, self)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """``size`` draws of ``pick``, adjacency indices in [0, d), from

@@ -244,13 +244,16 @@ class DenseGroup:
         return rejection_loop(
             rng, size, b._n, lambda c: ((b._buf[c] * s).astype(np.int64) & 1).astype(bool))
 
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
+    def sample_one(self, y: float, rng: np.random.Generator, vertex) -> int:
+        """Rejection from the uniform ``y``: the first candidate is
+        int(y·d), and each later trial draws its own from ``rng``."""
         b, s = vertex._b, vertex.lam / (1 << self.k)
         buf, d = b._buf, b._n
         for _ in range(MAX_ROUNDS):
-            cand = int(rng.random() * d)
+            cand = int(y * d)
             if float(buf[cand]) * s % 2 >= 1:
                 return cand
+            y = rng.random()
         raise RuntimeError("dense-group rejection failed to converge")
 
     @property
@@ -293,12 +296,17 @@ class DecimalGroup(SparseGroup):
         if gone >= self._max:
             self._max = float(vertex.frac_parts(self.members.view()).max(initial=0.0))
 
-    def sample_one(self, rng: np.random.Generator, vertex) -> int:
+    def sample_one(self, y: float, rng: np.random.Generator, vertex) -> int:
+        """Rejection from the uniform ``y`` by the one-uniform trick: the
+        integer part of y·n picks the candidate and its fractional part
+        is the accept coin. Each later trial draws its own from ``rng``."""
         m = self.members
         for _ in range(MAX_ROUNDS):
-            idx = int(m._buf[int(rng.random() * m._n)])
-            if rng.random() * self._max < vertex.frac_parts(idx):
+            u = y * m._n
+            idx = int(m._buf[int(u)])
+            if (u - int(u)) * self._max < vertex.frac_parts(idx):
                 return idx
+            y = rng.random()
         raise RuntimeError("decimal-group rejection failed to converge")
 
 

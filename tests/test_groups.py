@@ -166,7 +166,16 @@ class TestDenseGroup:
         expected[:5] = 1 / 5
         assert_distribution(g.sample(rng(4), 40_000, v), expected)
         gen = rng(4)
-        assert_distribution([g.sample_one(gen, v) for _ in range(40_000)], expected)
+        assert_distribution([g.sample_one(y, gen, v) for y in gen.random(40_000)], expected)
+
+    def test_sample_one_takes_first_candidate_from_y(self):
+        v = self._vertex()
+        gen = rng(6)
+        state = gen.bit_generator.state
+        assert v.group(0).sample_one(2.5 / 8, gen, v) == 2  # bias 5 has bit 0
+        assert gen.bit_generator.state == state
+        assert v.group(0).sample_one(5.5 / 8, gen, v) in range(5)  # bias 2: retry
+        assert gen.bit_generator.state != state
 
     def test_replace_index_is_noop(self):
         g = DenseGroup(0, [0, 1])
@@ -196,6 +205,14 @@ class TestDecimalGroup:
             v.insert(b)
         assert v.lam == 1.0 and v.group(DECIMAL_KEY).kind == KIND_DECIMAL
         assert_distribution(v.sample(rng(5), 60_000), [0.5, 0.27, 0.13, 0.10])
+
+    def test_sample_one_takes_first_trial_from_y(self):
+        # y·3 = 1.25: candidate 1 (part 0.26) with coin 0.25·max < 0.26.
+        v = BingoVertex([100.54, 100.26, 100.20])
+        gen = rng(7)
+        state = gen.bit_generator.state
+        assert v.group(DECIMAL_KEY).sample_one(1.25 / 3, gen, v) == 1
+        assert gen.bit_generator.state == state
 
     def test_insert_delete_replace(self):
         v = BingoVertex([1.5])

@@ -143,11 +143,12 @@ def mixed_graph():
 #: recorded with the rejection under max(1/p, 1, 1/q) that had no outlier
 #: fold and probed every candidate. The BINGO and KnightKing entries are
 #: that engine's paths over their per-walker draws (``core.store.draw_each``),
-#: which the current engine reproduces.
+#: which the current engine reproduces; BINGO's over draws whose dense or
+#: decimal rejection takes its first trial from the walker's second uniform.
 PLAIN_PATHS = {
-    ("bingo", 0.5, 0.5): "549981e0d787751b",
-    ("bingo", 2.0, 0.5): "d718fd59725f0651",
-    ("bingo", 4.0, 2.0): "ddcfe68c25c4f2bc",
+    ("bingo", 0.5, 0.5): "bb004e6e7accd89a",
+    ("bingo", 2.0, 0.5): "454ac4c4b83f0704",
+    ("bingo", 4.0, 2.0): "31efd85b6531d254",
     ("knightking", 0.5, 0.5): "9a7ab14fdac398da",
     ("knightking", 2.0, 0.5): "646431a1d3e2468b",
     ("knightking", 4.0, 2.0): "0be6934db724135b",
