@@ -11,7 +11,8 @@ partition:
   update job returns one ``(pid, blob, verts)`` row per partition it
   touched; the driver broadcasts each returned blob once, under a fresh
   version token, and destroys the broadcast it replaces. Untouched
-  partitions keep their broadcast and token, and a walk creates none;
+  partitions keep their broadcast and token, a walk creates none, and
+  ``close`` destroys them all;
 - each Python worker keeps the stores its tasks used resident, in
   ``_RESIDENT`` (``pid -> (token, store)``, one entry per pid). A task
   takes its partition's store from there when the token is the
@@ -144,6 +145,13 @@ class SparkBingoEngine:
             self._shipped[pid] = (tokens[pid], self.spark.sparkContext.broadcast(r["blob"]))
             if old is not None:
                 old[1].destroy()
+
+    def close(self) -> None:
+        """Destroy this engine's broadcasts and drop its partition states,
+        leaving an engine with no graph; a second call does nothing."""
+        for _, bc in self._shipped.values():
+            bc.destroy()
+        self._state, self._census, self._shipped = {}, {}, {}
 
     # -- driver-side views ----------------------------------------------------
 

@@ -363,6 +363,25 @@ class TestResidentState:
             eng.walk(starts=eng.vertices()[:20], length=4, seed=13)
         assert len(os.listdir(tmp)) - before <= eng.n_parts
 
+    def test_close_destroys_broadcasts(self, spark, small_edges):
+        """``close`` leaves the session's temp dir as before the build,
+        twice is harmless, and another engine on the session still walks."""
+        tmp = spark.sparkContext._temp_dir
+        before = len(os.listdir(tmp))
+        plan = make_update_plan(small_edges, batch_size=80, n_batches=1,
+                                mode="mixed", seed=35)
+        eng = SparkBingoEngine(spark, plan.initial, n_parts=4)
+        eng.apply_updates(plan.batches[0])
+        eng.walk(starts=eng.vertices()[:20], length=4, seed=14)
+        eng.close()
+        assert len(os.listdir(tmp)) == before
+        eng.close()
+        assert len(eng.vertices()) == 0 and eng.edges().empty
+        other = SparkBingoEngine(spark, small_edges, n_parts=4)
+        seg = other.walk(starts=other.vertices()[:20], length=4, seed=15)
+        assert set(seg.walker) == set(range(20)) and (seg.step > 0).any()
+        other.close()
+
     @pytest.fixture
     def task_per_partition(self, spark):
         """Run each pid's group in its own task: adaptive execution would
