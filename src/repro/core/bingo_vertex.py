@@ -170,8 +170,8 @@ class BingoVertex(VertexSampler):
         if self._inter is None:
             raise ValueError("sampling from an empty vertex")
         x, y = rng.random(size), rng.random(size)
-        return np.array([self.pick(a, b, rng) for a, b in zip(x.tolist(), y.tolist())],
-                        dtype=np.int64)
+        return np.fromiter(map(self.pick, x.tolist(), y.tolist(), [rng] * size),
+                           np.int64, size)
 
     # -- streaming updates (§4.2) -------------------------------------------
 
